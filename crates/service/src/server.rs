@@ -53,7 +53,10 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Admission-queue capacity; requests beyond it are shed.
     pub queue_capacity: usize,
-    /// Backoff hint attached to shed responses.
+    /// Fallback backoff hint for shed responses, used until the first
+    /// admitted request finishes; after that the hint scales with the
+    /// measured drain rate
+    /// ([`crate::metrics::Registry::suggested_retry_after_ms`]).
     pub retry_after_ms: u64,
     /// Deterministic fault injection for chaos runs
     /// (`snakes serve --fault-plan`); `None` in production.

@@ -1141,6 +1141,108 @@ mod tests {
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
+    /// Pipelines three `price` frames (ids 1–3) on one connection to a
+    /// 1-shard sharded core with `queue_capacity: 1` and
+    /// `retry_after_ms: 42`, after folding `preload` into the engine's
+    /// service-time EWMA, and returns the retry hints of the two shed
+    /// replies.
+    ///
+    /// The frames are buffered before the connection is handed to the
+    /// shard, so one tick reads all three and admits each before it
+    /// executes anything: frame 1 is admitted, and frames 2 and 3 are
+    /// shed while exactly one request is queued (`queue_depth == 1`).
+    fn shed_hints(preload: Option<Duration>) -> Vec<Option<u64>> {
+        let engine = Engine::with_limits(1, 1);
+        if let Some(sample) = preload {
+            engine.registry.record_service_time(sample);
+        }
+        let config = ShardedConfig {
+            shards: 1,
+            queue_capacity: 1,
+            retry_after_ms: 42,
+        };
+        let (core, threads) =
+            ShardedCore::start(engine, &config, |_| Ok(Box::new(SimReactor::new())))
+                .expect("sim reactors cannot fail");
+        let schema = StarSchema::paper_toy();
+        let shape = LatticeShape::of_schema(&schema);
+        let to_server = Pipe::new();
+        let from_server = Pipe::new();
+        for id in 1..=3u64 {
+            let mut req = Request::price(
+                SchemaSpec::of(&schema),
+                WorkloadSpec::of(&salted_workload(&shape, id)),
+                StrategySpec::snaked_path(TOY_PATH_DIMS[0].to_vec()),
+            );
+            req.id = id;
+            let mut frame = req.to_line().into_bytes();
+            frame.push(b'\n');
+            to_server.write(&frame).expect("pipe open");
+        }
+        core.add_connection(Box::new(SimDuplex {
+            read: Arc::clone(&to_server),
+            write: Arc::clone(&from_server),
+        }));
+
+        let mut bytes = Vec::new();
+        let mut chunk = [0u8; 4096];
+        let mut polls = 0u32;
+        while bytes.iter().filter(|&&b| b == b'\n').count() < 3 {
+            match from_server.read(&mut chunk) {
+                Ok(0) => panic!("server closed before answering all three frames"),
+                Ok(n) => bytes.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    polls += 1;
+                    assert!(polls < 10_000, "no answer within ~10 s");
+                }
+                Err(e) => panic!("pipe read failed: {e}"),
+            }
+        }
+        to_server.close();
+        core.shutdown();
+        for handle in threads {
+            handle.join().expect("shard thread");
+        }
+        let responses: Vec<Response> = String::from_utf8(bytes)
+            .expect("UTF-8 responses")
+            .lines()
+            .map(|line| Response::parse(line).expect("well-formed response"))
+            .collect();
+        assert_eq!(responses.len(), 3);
+        assert!(responses[0].ok, "frame 1 is admitted: {:?}", responses[0]);
+        assert_eq!(responses[0].id, 1);
+        let stats = core.engine().stats_body();
+        let price = stats.endpoints.iter().find(|e| e.endpoint == "price");
+        assert_eq!(price.map(|e| e.shed), Some(2), "frames 2 and 3 are shed");
+        responses[1..]
+            .iter()
+            .zip(2u64..)
+            .map(|(resp, id)| {
+                assert_eq!(resp.id, id);
+                let err = resp.error.as_ref().expect("a shed reply is an error");
+                assert_eq!(err.code, "overloaded", "{err:?}");
+                err.retry_after_ms
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shed_retry_hints_follow_the_documented_formula() {
+        // Cold registry: no execution has finished, so the configured
+        // value is the hint.
+        assert_eq!(shed_hints(None), [Some(42), Some(42)]);
+        // Warm: ceil((queue_depth + 1) × EWMA) = ceil((1 + 1) × 7 ms).
+        assert_eq!(
+            shed_hints(Some(Duration::from_millis(7))),
+            [Some(14), Some(14)]
+        );
+        // ceil(2 × 6 s) = 12 s, clamped to the 10 s ceiling.
+        assert_eq!(
+            shed_hints(Some(Duration::from_secs(6))),
+            [Some(10_000), Some(10_000)]
+        );
+    }
+
     #[test]
     fn blocking_oracle_still_holds_the_invariants() {
         // The conformance oracle stays under test with the same

@@ -4,7 +4,12 @@
 //! 1. **Fidelity**: 64+ concurrent mixed `recommend`/`price`/`drift`
 //!    requests return answers bit-identical to direct library calls;
 //! 2. **Load shedding**: with a tiny admission queue, a thundering herd is
-//!    rejected with `overloaded` + `retry_after_ms` instead of stalling;
+//!    rejected with `overloaded` + `retry_after_ms` instead of stalling.
+//!    The configured `retry_after_ms` is only the cold-start fallback;
+//!    once a request has finished, the hint scales with the measured
+//!    drain rate, so over real TCP only its [1 ms, 10 s] clamp is checked
+//!    (the exact values are pinned in the simulator:
+//!    `sim::tests::shed_retry_hints_follow_the_documented_formula`);
 //! 3. **Graceful drain**: `shutdown` stops admission but every already
 //!    admitted request still gets its response.
 
@@ -209,7 +214,15 @@ fn thundering_herd_is_shed_not_stalled() {
                 } else {
                     let err = resp.error.unwrap();
                     assert_eq!(err.code, "overloaded", "{err:?}");
-                    assert_eq!(err.retry_after_ms, Some(42));
+                    // 42 only until the first price finishes; a client
+                    // read after that is shed with (queue depth + 1) ×
+                    // the measured service time. Which one a client sees
+                    // depends on the interleaving, so only the clamp is
+                    // checked here.
+                    let hint = err
+                        .retry_after_ms
+                        .expect("a shed reply carries a retry hint");
+                    assert!((1..=10_000).contains(&hint), "retry hint {hint} ms");
                     shed.fetch_add(1, Ordering::Relaxed);
                 }
             });
