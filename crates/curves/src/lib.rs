@@ -41,7 +41,7 @@ pub use analysis::{
 };
 pub use fragments::{class_average_cost, class_costs, cv_of, expected_cost, query_fragments};
 pub use gray::GrayCurve;
-pub use hilbert::{CompactHilbert, HilbertCurve};
+pub use hilbert::{CompactHilbert, HilbertCurve, HilbertError};
 pub use lattice_path::{path_curve, snaked_path_curve};
 pub use nested::{Loop, NestedLoops};
 pub use peano::PeanoCurve;

@@ -42,9 +42,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Largest grid a `measure` request may pack (cells). Keeps one hostile
-/// request from allocating the machine away; analytic pricing has no such
-/// bound (signature tables are O(|L|)).
+/// Largest grid (cells) a `price` request may name, analytic or
+/// measured, and a reclustering job may migrate. Pricing on a signature
+/// cache miss builds the curve and walks every cell, and a `measure`
+/// packs every cell, so the bound is checked before any curve is built:
+/// one hostile request can neither allocate the machine away nor stall
+/// its shard.
 pub const MAX_MEASURE_CELLS: u64 = 1 << 22;
 
 /// Largest table a *physical* measurement (`measure.physical`) may
@@ -329,6 +332,14 @@ impl Engine {
             sessions: SessionMap::new(workers.max(1)),
             ..Engine::new()
         }
+    }
+
+    /// Holds the signature-cache lock: until the guard drops, every
+    /// `price` that reaches the cache blocks there, after dequeue. Lets
+    /// the simulator freeze a shard mid-execution at a known point.
+    #[cfg(test)]
+    pub(crate) fn hold_signatures(&self) -> parking_lot::MutexGuard<'_, SignatureCache> {
+        self.signatures.lock()
     }
 
     /// The number of session stripes (equal to the shard count the engine
@@ -655,6 +666,7 @@ impl Engine {
             .strategy_spec()
             .cloned()
             .ok_or_else(|| ServiceError::BadRequest("`strategy` is required".into()))?;
+        let cells = bounded_cells(&schema)?;
         let (lazy, id, label) = resolve_strategy(&schema, &strategy)?;
         deadline.check()?;
         let key = PriceKey {
@@ -695,13 +707,6 @@ impl Engine {
             None => None,
             Some(m) => {
                 let curve = lazy.build(&schema);
-                let cells = schema.num_cells();
-                if cells > MAX_MEASURE_CELLS {
-                    return Err(ServiceError::BadRequest(format!(
-                        "grid has {cells} cells; physical measurement is capped at \
-                         {MAX_MEASURE_CELLS}"
-                    )));
-                }
                 if m.records_per_cell == 0 || m.page_size == 0 || m.record_size == 0 {
                     return Err(ServiceError::BadRequest(
                         "`measure` fields must be positive".into(),
@@ -1494,6 +1499,28 @@ impl LazyCurve {
     }
 }
 
+/// The schema's cell count, or `bad_request` if it exceeds
+/// [`MAX_MEASURE_CELLS`] (or `u64`). Multiplies the fanouts with overflow
+/// checks, so it is safe to call before `grid_shape`, whose per-dimension
+/// products are unchecked.
+pub(crate) fn bounded_cells(schema: &StarSchema) -> Result<u64, ServiceError> {
+    let cells = schema
+        .dims()
+        .iter()
+        .flat_map(|h| h.fanouts())
+        .try_fold(1u64, |acc, &f| acc.checked_mul(f));
+    match cells {
+        Some(cells) if cells <= MAX_MEASURE_CELLS => Ok(cells),
+        _ => Err(ServiceError::BadRequest(format!(
+            "grid has {} cells; requests are capped at {MAX_MEASURE_CELLS}",
+            cells.map_or_else(|| "over 2^64".to_string(), |c| c.to_string())
+        ))),
+    }
+}
+
+/// Validates a strategy against `schema` without building its curve. A
+/// `hilbert` strategy is refused here if its padded cube needs more than
+/// 63 rank bits, so it never reaches a shard's curve build.
 pub(crate) fn resolve_strategy(
     schema: &StarSchema,
     spec: &StrategySpec,
@@ -1519,11 +1546,15 @@ pub(crate) fn resolve_strategy(
                 label,
             ))
         }
-        (None, Some("hilbert")) => Ok((
-            LazyCurve::Hilbert,
-            StrategyId::Named("hilbert".into()),
-            "hilbert".into(),
-        )),
+        (None, Some("hilbert")) => {
+            CompactHilbert::check_extents(&schema.grid_shape())
+                .map_err(|e| ServiceError::BadRequest(format!("strategy `hilbert`: {e}")))?;
+            Ok((
+                LazyCurve::Hilbert,
+                StrategyId::Named("hilbert".into()),
+                "hilbert".into(),
+            ))
+        }
         (None, Some(other)) => Err(ServiceError::BadRequest(format!(
             "unknown strategy kind `{other}`"
         ))),

@@ -320,17 +320,18 @@ impl Registry {
     }
 
     /// A load-shed retry hint scaled to the measured queue drain rate:
-    /// roughly how long until `queue_depth` requests ahead of the retry
+    /// roughly how long until the `queued` requests ahead of the retry
     /// have been served, given the smoothed per-request service time.
+    /// `queued` is the depth of the queue that sheds — a shard's own run
+    /// queue on the sharded core, since each shard drains only its own.
     /// Falls back to `fallback` (the configured constant) before any
     /// sample lands; always at least 1 ms and at most 10 s.
-    pub fn suggested_retry_after_ms(&self, fallback: u64) -> u64 {
+    pub fn suggested_retry_after_ms(&self, queued: u64, fallback: u64) -> u64 {
         let ewma_ns = f64::from_bits(self.service_ns_ewma.load(Ordering::Relaxed));
         if ewma_ns <= 0.0 {
             return fallback.clamp(1, MAX_RETRY_AFTER_MS);
         }
-        let depth = self.queue_depth.load(Ordering::Relaxed);
-        let drain_ms = ((depth + 1) as f64 * ewma_ns / 1e6).ceil() as u64;
+        let drain_ms = (queued.saturating_add(1) as f64 * ewma_ns / 1e6).ceil() as u64;
         drain_ms.clamp(1, MAX_RETRY_AFTER_MS)
     }
 
@@ -408,20 +409,17 @@ mod tests {
     fn retry_hint_scales_with_queue_depth_and_service_time() {
         let r = Registry::new();
         // No samples yet: the configured constant wins.
-        assert_eq!(r.suggested_retry_after_ms(50), 50);
+        assert_eq!(r.suggested_retry_after_ms(9, 50), 50);
         // 2 ms per request, 9 queued ahead → ~20 ms to drain past us.
         for _ in 0..64 {
             r.record_service_time(Duration::from_millis(2));
         }
-        r.queue_depth.store(9, Ordering::Relaxed);
-        let hint = r.suggested_retry_after_ms(50);
+        let hint = r.suggested_retry_after_ms(9, 50);
         assert!((15..=25).contains(&hint), "hint {hint} ∉ [15, 25]");
         // Deeper queue → proportionally longer hint.
-        r.queue_depth.store(99, Ordering::Relaxed);
-        let deeper = r.suggested_retry_after_ms(50);
+        let deeper = r.suggested_retry_after_ms(99, 50);
         assert!(deeper > hint * 5, "deeper {deeper} vs {hint}");
         // Never below 1 ms, never above the 10 s ceiling.
-        r.queue_depth.store(u64::MAX / 2, Ordering::Relaxed);
-        assert_eq!(r.suggested_retry_after_ms(50), 10_000);
+        assert_eq!(r.suggested_retry_after_ms(u64::MAX, 50), 10_000);
     }
 }

@@ -20,7 +20,7 @@
 //!   bit-identical to what either pure layout would serve.
 
 use crate::durability::ReclusterSnapshot;
-use crate::engine::{resolve_strategy, WireCurve, MAX_MEASURE_CELLS, MAX_PHYSICAL_BYTES};
+use crate::engine::{bounded_cells, resolve_strategy, WireCurve, MAX_PHYSICAL_BYTES};
 use crate::error::ServiceError;
 use crate::protocol::ReclusterBody;
 use snakes_curves::Linearization;
@@ -115,15 +115,10 @@ pub(crate) fn synthetic_record(record_size: u64, coords: &[u64], index: u64) -> 
 /// from the in-memory paged engine (practically infallible).
 pub(crate) fn build_job(snap: ReclusterSnapshot) -> Result<ReclusterJob, ServiceError> {
     let schema = snap.schema.clone().build()?;
+    let total_cells = bounded_cells(&schema)?;
     let (from_lazy, _, from_label) = resolve_strategy(&schema, &snap.from)?;
     let (to_lazy, _, to_label) = resolve_strategy(&schema, &snap.to)?;
-    let total_cells = schema.num_cells();
     let m = &snap.measure;
-    if total_cells > MAX_MEASURE_CELLS {
-        return Err(ServiceError::BadRequest(format!(
-            "grid has {total_cells} cells; reclustering is capped at {MAX_MEASURE_CELLS}"
-        )));
-    }
     if m.records_per_cell == 0 || m.page_size == 0 || m.record_size == 0 {
         return Err(ServiceError::BadRequest(
             "`measure` fields must be positive".into(),

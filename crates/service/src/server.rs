@@ -380,10 +380,10 @@ impl Core {
                         self.engine.registry.record_shed(endpoint);
                         // Scale the hint with the measured drain rate; the
                         // configured value is only the cold-start fallback.
-                        let retry_after_ms = self
-                            .engine
-                            .registry
-                            .suggested_retry_after_ms(self.retry_after_ms);
+                        let retry_after_ms = self.engine.registry.suggested_retry_after_ms(
+                            depth.load(Ordering::Relaxed),
+                            self.retry_after_ms,
+                        );
                         Response::err(
                             request.id,
                             ServiceError::Overloaded { retry_after_ms }.to_body(),

@@ -675,12 +675,13 @@ impl Shard {
         }
         if self.my_inflight >= self.queue_capacity {
             // The load-shedding point. The hint scales with the measured
-            // drain rate so pipelined bursts back off proportionally.
+            // drain rate so pipelined bursts back off proportionally; only
+            // this shard's own run queue stands ahead of a retry here.
             self.engine.registry.record_shed(endpoint);
             let retry_after_ms = self
                 .engine
                 .registry
-                .suggested_retry_after_ms(self.retry_after_ms);
+                .suggested_retry_after_ms(self.runq.len() as u64, self.retry_after_ms);
             self.answer_inline(
                 token,
                 Response::err(

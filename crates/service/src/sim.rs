@@ -1098,6 +1098,8 @@ fn verify_drift_replay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Endpoint;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn quiet_schedule_is_all_ok() {
@@ -1141,6 +1143,63 @@ mod tests {
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
+    /// Buffers pipelined toy-schema `price` frames with the given ids on
+    /// a fresh pipe pair and returns `(to_server, from_server)`.
+    fn pipelined_prices(ids: std::ops::RangeInclusive<u64>) -> (Arc<Pipe>, Arc<Pipe>) {
+        let schema = StarSchema::paper_toy();
+        let shape = LatticeShape::of_schema(&schema);
+        let to_server = Pipe::new();
+        for id in ids {
+            let mut req = Request::price(
+                SchemaSpec::of(&schema),
+                WorkloadSpec::of(&salted_workload(&shape, id)),
+                StrategySpec::snaked_path(TOY_PATH_DIMS[0].to_vec()),
+            );
+            req.id = id;
+            let mut frame = req.to_line().into_bytes();
+            frame.push(b'\n');
+            to_server.write(&frame).expect("pipe open");
+        }
+        (to_server, Pipe::new())
+    }
+
+    /// Reads exactly `n` response lines from `from_server`, failing after
+    /// ~10 s without them.
+    fn read_responses(from_server: &Pipe, n: usize) -> Vec<Response> {
+        let mut bytes = Vec::new();
+        let mut chunk = [0u8; 4096];
+        let mut polls = 0u32;
+        while bytes.iter().filter(|&&b| b == b'\n').count() < n {
+            match from_server.read(&mut chunk) {
+                Ok(0) => panic!("server closed before answering all {n} frames"),
+                Ok(read) => bytes.extend_from_slice(&chunk[..read]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    polls += 1;
+                    assert!(polls < 10_000, "no answer within ~10 s");
+                }
+                Err(e) => panic!("pipe read failed: {e}"),
+            }
+        }
+        let responses: Vec<Response> = String::from_utf8(bytes)
+            .expect("UTF-8 responses")
+            .lines()
+            .map(|line| Response::parse(line).expect("well-formed response"))
+            .collect();
+        assert_eq!(responses.len(), n);
+        responses
+    }
+
+    /// Polls `done` every millisecond for up to ~10 s.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        for _ in 0..10_000 {
+            if done() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        panic!("timed out waiting until {what}");
+    }
+
     /// Pipelines three `price` frames (ids 1–3) on one connection to a
     /// 1-shard sharded core with `queue_capacity: 1` and
     /// `retry_after_ms: 42`, after folding `preload` into the engine's
@@ -1164,51 +1223,18 @@ mod tests {
         let (core, threads) =
             ShardedCore::start(engine, &config, |_| Ok(Box::new(SimReactor::new())))
                 .expect("sim reactors cannot fail");
-        let schema = StarSchema::paper_toy();
-        let shape = LatticeShape::of_schema(&schema);
-        let to_server = Pipe::new();
-        let from_server = Pipe::new();
-        for id in 1..=3u64 {
-            let mut req = Request::price(
-                SchemaSpec::of(&schema),
-                WorkloadSpec::of(&salted_workload(&shape, id)),
-                StrategySpec::snaked_path(TOY_PATH_DIMS[0].to_vec()),
-            );
-            req.id = id;
-            let mut frame = req.to_line().into_bytes();
-            frame.push(b'\n');
-            to_server.write(&frame).expect("pipe open");
-        }
+        let (to_server, from_server) = pipelined_prices(1..=3);
         core.add_connection(Box::new(SimDuplex {
             read: Arc::clone(&to_server),
             write: Arc::clone(&from_server),
         }));
 
-        let mut bytes = Vec::new();
-        let mut chunk = [0u8; 4096];
-        let mut polls = 0u32;
-        while bytes.iter().filter(|&&b| b == b'\n').count() < 3 {
-            match from_server.read(&mut chunk) {
-                Ok(0) => panic!("server closed before answering all three frames"),
-                Ok(n) => bytes.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    polls += 1;
-                    assert!(polls < 10_000, "no answer within ~10 s");
-                }
-                Err(e) => panic!("pipe read failed: {e}"),
-            }
-        }
+        let responses = read_responses(&from_server, 3);
         to_server.close();
         core.shutdown();
         for handle in threads {
             handle.join().expect("shard thread");
         }
-        let responses: Vec<Response> = String::from_utf8(bytes)
-            .expect("UTF-8 responses")
-            .lines()
-            .map(|line| Response::parse(line).expect("well-formed response"))
-            .collect();
-        assert_eq!(responses.len(), 3);
         assert!(responses[0].ok, "frame 1 is admitted: {:?}", responses[0]);
         assert_eq!(responses[0].id, 1);
         let stats = core.engine().stats_body();
@@ -1241,6 +1267,76 @@ mod tests {
             shed_hints(Some(Duration::from_secs(6))),
             [Some(10_000), Some(10_000)]
         );
+    }
+
+    /// The 2-shard variant: a shard's hint counts only its own run queue.
+    ///
+    /// Shard 0 admits frames 1–2 and is frozen executing frame 1 (every
+    /// price blocks on the held signature cache), so frame 2 stays queued
+    /// there. Shard 1 then reads frames 3–5 in one tick with
+    /// `queue_capacity: 2`: it admits 3 and 4 and sheds 5 with its own
+    /// queue at 2, before executing anything. Per shard the hint is
+    /// ceil((2 + 1) × 7 ms) = 21; the engine-wide depth (3, counting
+    /// shard 0's frame 2) would give 28.
+    #[test]
+    fn shed_retry_hints_count_only_the_shedding_shards_queue() {
+        let engine = Engine::with_limits(2, 2);
+        engine
+            .registry
+            .record_service_time(Duration::from_millis(7));
+        let config = ShardedConfig {
+            shards: 2,
+            queue_capacity: 2,
+            retry_after_ms: 42,
+        };
+        let (core, threads) =
+            ShardedCore::start(engine, &config, |_| Ok(Box::new(SimReactor::new())))
+                .expect("sim reactors cannot fail");
+        let registry = &core.engine().registry;
+        let frozen = core.engine().hold_signatures();
+
+        // Connections are dealt round-robin: the first goes to shard 0.
+        let (to_zero, from_zero) = pipelined_prices(1..=2);
+        core.add_connection(Box::new(SimDuplex {
+            read: Arc::clone(&to_zero),
+            write: Arc::clone(&from_zero),
+        }));
+        wait_until("shard 0 runs frame 1 with frame 2 queued", || {
+            registry.admitted.load(Ordering::SeqCst) == 2
+                && registry.queue_depth.load(Ordering::SeqCst) == 1
+        });
+        let (to_one, from_one) = pipelined_prices(3..=5);
+        core.add_connection(Box::new(SimDuplex {
+            read: Arc::clone(&to_one),
+            write: Arc::clone(&from_one),
+        }));
+        // Read the counter directly: `stats` takes the held cache lock.
+        let price_shed = || {
+            registry
+                .endpoint(Endpoint::Price)
+                .shed
+                .load(Ordering::SeqCst)
+        };
+        wait_until("shard 1 sheds frame 5", || price_shed() == 1);
+        drop(frozen);
+
+        let zero = read_responses(&from_zero, 2);
+        let one = read_responses(&from_one, 3);
+        to_zero.close();
+        to_one.close();
+        core.shutdown();
+        for handle in threads {
+            handle.join().expect("shard thread");
+        }
+        assert!(
+            zero.iter().chain(&one[..2]).all(|r| r.ok),
+            "{zero:?} {one:?}"
+        );
+        assert_eq!(one[2].id, 5);
+        let err = one[2].error.as_ref().expect("frame 5 is shed");
+        assert_eq!(err.code, "overloaded", "{err:?}");
+        assert_eq!(err.retry_after_ms, Some(21));
+        assert_eq!(price_shed(), 1);
     }
 
     #[test]

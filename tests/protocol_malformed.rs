@@ -201,3 +201,76 @@ fn a_flood_of_hostile_frames_never_wedges_the_server() {
     conn.assert_usable();
     server.join();
 }
+
+/// A v1 `price` frame over a grid of `extents` leaves with one hierarchy
+/// level per dimension, under a uniform workload.
+fn price_frame(id: u64, extents: &[u64], strategy: &str) -> Vec<u8> {
+    let dims: Vec<String> = extents
+        .iter()
+        .enumerate()
+        .map(|(d, e)| format!("{{\"name\":\"d{d}\",\"fanouts\":[{e}]}}"))
+        .collect();
+    let marginals = vec!["[0.5,0.5]"; extents.len()].join(",");
+    format!(
+        "{{\"v\":1,\"id\":{id},\"endpoint\":\"price\",\"schema\":{{\"dims\":[{}]}},\
+         \"workload\":{{\"marginals\":[{marginals}]}},\"strategy\":{strategy}}}\n",
+        dims.join(",")
+    )
+    .into_bytes()
+}
+
+#[test]
+fn oversized_price_grids_are_refused_before_any_curve_is_built() {
+    let server = Server::spawn(ServerConfig::default()).expect("spawn");
+    let mut conn = RawConn::open(server.local_addr());
+    let path = r#"{"dims":[0,1],"snaked":true}"#;
+    let hilbert = r#"{"kind":"hilbert"}"#;
+    // Twice the 4 Mi-cell bound; and 2^62 cells, whose curve could be
+    // neither allocated nor walked, so only a check made before any
+    // curve is built can answer it; and a cell count that overflows u64.
+    for extents in [[4096, 2048], [1 << 31, 1 << 31], [1 << 32, 1 << 32]] {
+        for strategy in [path, hilbert] {
+            let resp = conn.expect_error(&price_frame(11, &extents, strategy), "bad_request");
+            let message = resp["error"]["message"].as_str().unwrap();
+            assert!(
+                message.contains("cells"),
+                "{extents:?} {strategy}: {resp:?}"
+            );
+            conn.assert_usable();
+        }
+    }
+    // One dimension whose own leaf count overflows u64.
+    for strategy in [r#"{"dims":[0,0],"snaked":true}"#, hilbert] {
+        let frame = format!(
+            "{{\"v\":1,\"id\":14,\"endpoint\":\"price\",\"schema\":{{\"dims\":[{{\"name\":\"d\",\
+             \"fanouts\":[4294967296,4294967296]}}]}},\"workload\":{{\"marginals\":\
+             [[0.5,0.25,0.25]]}},\"strategy\":{strategy}}}\n"
+        );
+        conn.expect_error(frame.as_bytes(), "bad_request");
+        conn.assert_usable();
+    }
+    server.join();
+}
+
+#[test]
+fn hilbert_beyond_the_rank_space_is_a_bad_request() {
+    let server = Server::spawn(ServerConfig::default()).expect("spawn");
+    let mut conn = RawConn::open(server.local_addr());
+    // 2^17 cells, well under the cell bound, but 4096 pads every side to
+    // 2^12, and six dimensions of 12 bits need 72 rank bits.
+    let frame = price_frame(12, &[4096, 2, 2, 2, 2, 2], r#"{"kind":"hilbert"}"#);
+    let resp = conn.expect_error(&frame, "bad_request");
+    assert_eq!(resp["id"], 12);
+    let message = resp["error"]["message"].as_str().unwrap();
+    assert!(message.contains("hilbert"), "{resp:?}");
+    conn.assert_usable();
+    // The same grid under a lattice path is priced normally.
+    conn.send_raw(&price_frame(
+        13,
+        &[4096, 2, 2, 2, 2, 2],
+        r#"{"dims":[0,1,2,3,4,5],"snaked":true}"#,
+    ));
+    let resp = conn.recv();
+    assert_eq!(resp["ok"].as_bool(), Some(true), "{resp:?}");
+    server.join();
+}

@@ -18,7 +18,7 @@ use snakes_sandwiches::core::dp::IncrementalDp;
 use snakes_sandwiches::core::lattice::LatticeShape;
 use snakes_sandwiches::core::schema::{Hierarchy, StarSchema};
 use snakes_sandwiches::core::workload::{VersionedWorkload, WeightUpdate, Workload, WorkloadDelta};
-use snakes_sandwiches::curves::{aggregate_class_costs, snaked_path_curve};
+use snakes_sandwiches::curves::{aggregate_class_costs, snaked_path_curve, CompactHilbert};
 use snakes_sandwiches::prelude::{recommend, LatticePath};
 use snakes_sandwiches::service::protocol::{
     DeltaSpec, MeasureSpec, SchemaSpec, StrategySpec, WorkloadSpec,
@@ -153,6 +153,43 @@ fn sixty_four_concurrent_mixed_requests_are_bit_identical_to_direct_calls() {
         .unwrap();
     assert!(price_stats.requests > 0);
     assert_eq!(stats.sessions, (CLIENTS / 3) as u64);
+    server.join();
+}
+
+#[test]
+fn a_cold_hilbert_price_on_a_million_cells_is_answered_in_seconds() {
+    // 1200 × 10 × 84 = 1 008 000 cells, under the cell bound, pads to
+    // 2048^3 ≈ 8.6·10^9 Hilbert ranks: a sweep of the padded cube held a
+    // shard for over ten minutes. The pruned descent visits only the
+    // cells and the boundary sub-cubes.
+    let schema = StarSchema::new(vec![
+        Hierarchy::new("parts", vec![1200]).unwrap(),
+        Hierarchy::new("supp", vec![10]).unwrap(),
+        Hierarchy::new("time", vec![84]).unwrap(),
+    ])
+    .unwrap();
+    let w = salted_workload(&LatticeShape::of_schema(&schema), 5);
+    let server = Server::spawn(ServerConfig::default()).expect("spawn");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let started = std::time::Instant::now();
+    let resp = client
+        .call(Request::price(
+            SchemaSpec::of(&schema),
+            WorkloadSpec::of(&w),
+            StrategySpec::hilbert(),
+        ))
+        .expect("call");
+    let elapsed = started.elapsed();
+    assert!(resp.ok, "{:?}", resp.error);
+    let body = resp.price.unwrap();
+    assert!(!body.cache_hit);
+    let curve = CompactHilbert::new(schema.grid_shape());
+    let direct = aggregate_class_costs(&schema, &curve).expected_cost(&w);
+    assert_eq!(body.expected_cost.to_bits(), direct.to_bits());
+    assert!(
+        elapsed.as_secs() < 60,
+        "cold hilbert price took {elapsed:?}"
+    );
     server.join();
 }
 
