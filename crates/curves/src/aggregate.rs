@@ -59,14 +59,29 @@
 //! implementation as the differential-testing oracle; grids whose label
 //! tables would not fit the `u64` budget fall back to its per-edge
 //! ancestor scans automatically.
+//!
+//! ## Lattice paths need no walk
+//!
+//! A lattice-path curve is a loop nest, so its signature table follows
+//! from the path alone ([`WholeLatticeCosts::of_lattice_path`], O(Σℓ)
+//! plus the shared O(|L|·k) finish). Loop `j` (innermost first, radix
+//! `r_j`, path step `(d_j, ℓ_j)`) is the outermost loop that changes on
+//! exactly `(r_j − 1)·Π_{i>j} r_i` edges. On a snaked path such an edge
+//! changes digit `j` alone, so its signature is `ℓ_j` in `d_j` and 0
+//! elsewhere; on a plain path every inner loop with `r_i > 1` wraps too,
+//! so `σ_d` is the largest `ℓ_i` among the changed loops of `d`. The
+//! counts are the walk's exact integers, so the table is equal to the
+//! walk's, not merely close. The walk remains for every other curve.
 
 use crate::{CoordsBlock, Linearization};
 use serde::{Deserialize, Serialize};
 use snakes_core::lattice::{Class, LatticeShape};
 use snakes_core::parallel::{metrics, ParallelConfig};
+use snakes_core::path::LatticePath;
 use snakes_core::schema::StarSchema;
 use snakes_core::workload::Workload;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Ranks decoded per [`Linearization::coords_block`] call in the blocked
 /// walk: large enough to amortize per-block setup, small enough that the
@@ -278,12 +293,22 @@ struct AggregatePlan {
 }
 
 impl AggregatePlan {
+    /// The plan of a curve walk: checks the grid and counts the edges the
+    /// walk will classify.
     fn of(schema: &StarSchema, lin: &impl Linearization) -> Self {
         assert_eq!(
             lin.extents(),
             schema.grid_shape().as_slice(),
             "linearization grid must match the schema"
         );
+        let plan = Self::of_schema(schema);
+        if plan.n >= 2 {
+            metrics::record_agg_edges(plan.n - 1);
+        }
+        plan
+    }
+
+    fn of_schema(schema: &StarSchema) -> Self {
         let shape = LatticeShape::of_schema(schema);
         let k = schema.k();
         let num_classes = shape.num_classes();
@@ -291,16 +316,12 @@ impl AggregatePlan {
         for d in 1..k {
             strides[d] = strides[d - 1] * (shape.top_level(d - 1) + 1);
         }
-        let n = schema.num_cells();
-        if n >= 2 {
-            metrics::record_agg_edges(n - 1);
-        }
         Self {
             shape,
             k,
             num_classes,
             strides,
-            n,
+            n: schema.num_cells(),
         }
     }
 
@@ -567,6 +588,51 @@ fn query_counts(schema: &StarSchema, shape: &LatticeShape) -> Vec<u64> {
 }
 
 impl WholeLatticeCosts {
+    /// The signature table of a lattice path's curve (plain or snaked),
+    /// from the path alone: equal to [`aggregate_class_costs`] over
+    /// [`crate::path_curve`] / [`crate::snaked_path_curve`], without
+    /// building or walking the curve (module docs, "Lattice paths need no
+    /// walk"). Costs O(Σℓ) for the signatures plus the O(|L|·k) prefix
+    /// sum and query counts every table shares.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the path is not over the schema's class lattice.
+    pub fn of_lattice_path(schema: &StarSchema, path: &LatticePath, snaked: bool) -> Self {
+        assert_eq!(
+            path.shape().levels(),
+            schema.levels().as_slice(),
+            "path must be over the schema's class lattice"
+        );
+        let plan = AggregatePlan::of_schema(schema);
+        let steps = path.steps();
+        let radix: Vec<u64> = steps
+            .iter()
+            .map(|s| schema.dim(s.dim).fanout(s.level))
+            .collect();
+        // outer[j] = Π_{i>j} r_i: the iterations of the loops enclosing j.
+        let mut outer = vec![1u64; steps.len()];
+        for j in (1..steps.len()).rev() {
+            outer[j - 1] = outer[j] * radix[j];
+        }
+        let mut signature = vec![0u64; plan.num_classes];
+        // Per dimension, the signature-index contribution of its
+        // outermost loop so far that wraps (radix > 1), and their sum.
+        let mut wrapped = vec![0usize; plan.k];
+        let mut wrapped_sum = 0usize;
+        for (j, step) in steps.iter().enumerate() {
+            if radix[j] == 1 {
+                continue; // a radix-1 loop never changes
+            }
+            let own = step.level * plan.strides[step.dim];
+            wrapped_sum = wrapped_sum - wrapped[step.dim] + own;
+            wrapped[step.dim] = own;
+            let idx = if snaked { own } else { wrapped_sum };
+            signature[idx] += (radix[j] - 1) * outer[j];
+        }
+        plan.finish(schema, signature)
+    }
+
     /// The class lattice the costs are indexed by.
     pub fn shape(&self) -> &LatticeShape {
         &self.shape
@@ -724,15 +790,53 @@ struct SignatureEntry {
     table: WholeLatticeCosts,
 }
 
+/// Heap bytes a [`SignatureCache`] may hold in entries (1 MiB). An insert
+/// that would exceed it first evicts least-recently-used entries; a
+/// single entry larger than the budget is kept alone.
+pub const SIGNATURE_CACHE_BUDGET_BYTES: usize = 1 << 20;
+
+/// A cached table with its key, recency stamp and accounted size.
+#[derive(Debug, Clone)]
+struct CachedTable {
+    key: String,
+    table: WholeLatticeCosts,
+    /// The cache clock at the last insert or hit.
+    last_used: u64,
+    bytes: usize,
+}
+
+/// The bytes one entry accounts against [`SIGNATURE_CACHE_BUDGET_BYTES`]:
+/// its slot, its index entry, both copies of the key, its recency record
+/// and the table's vectors.
+fn entry_bytes(key: &str, table: &WholeLatticeCosts) -> usize {
+    let words = table.shape.levels().len()
+        + table.signature.len()
+        + table.internal.len()
+        + table.queries.len();
+    std::mem::size_of::<Option<CachedTable>>()
+        + std::mem::size_of::<(String, usize)>()
+        + std::mem::size_of::<Reverse<(u64, usize)>>()
+        + 2 * key.len()
+        + words * std::mem::size_of::<u64>()
+}
+
 /// Memoized crossing-signature tables, keyed by
-/// `(schema fingerprint, strategy identity)`.
+/// `(schema fingerprint, strategy identity)`, within a fixed byte budget
+/// ([`SIGNATURE_CACHE_BUDGET_BYTES`], least recently used out first).
 ///
 /// The schema fingerprint ([`StarSchema::fingerprint`]) covers the grid
 /// *and* the hierarchy boundaries, so two schemas sharing a grid but
 /// splitting it differently can never alias. Tables returned by
 /// [`Self::get_or_compute`] are the exact structs a fresh
 /// [`aggregate_class_costs`] walk would build — cache hits are
-/// bit-identical, not approximations.
+/// bit-identical, not approximations. A miss on a
+/// [`StrategyId::Path`] id builds its table in closed form
+/// ([`WholeLatticeCosts::of_lattice_path`]) and never touches the curve.
+///
+/// Eviction is deterministic: every insert and hit takes the next tick of
+/// a logical clock, and the entry with the oldest tick goes first. A hit
+/// only stamps its entry; stale positions in the recency heap are
+/// refreshed lazily when an eviction pops them.
 ///
 /// ```
 /// use snakes_core::prelude::*;
@@ -753,7 +857,16 @@ struct SignatureEntry {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct SignatureCache {
-    map: HashMap<String, WholeLatticeCosts>,
+    /// Key → slot: a hit is one lookup and a slot stamp.
+    index: HashMap<String, usize>,
+    slots: Vec<Option<CachedTable>>,
+    /// Vacated slots, reused before the slab grows.
+    free: Vec<usize>,
+    /// One `(tick, slot)` per resident entry, min-ordered; a tick older
+    /// than its entry's `last_used` is stale and is re-pushed on pop.
+    recency: BinaryHeap<Reverse<(u64, usize)>>,
+    clock: u64,
+    bytes: usize,
     hits: u64,
     misses: u64,
     options: AggregateOptions,
@@ -779,9 +892,11 @@ impl SignatureCache {
         format!("{:016x}/{}", schema.fingerprint(), id.key_fragment())
     }
 
-    /// The signature table for `(schema, id)`, walking the curve only on a
-    /// cache miss. The caller vouches that `id` identifies `lin`'s visiting
-    /// order (use [`StrategyId::of_order`] when in doubt).
+    /// The signature table for `(schema, id)`, computed only on a cache
+    /// miss. The caller vouches that `id` identifies `lin`'s visiting
+    /// order (use [`StrategyId::of_order`] when in doubt). A
+    /// [`StrategyId::Path`] miss is computed from the path, not from
+    /// `lin`.
     ///
     /// # Panics
     ///
@@ -792,25 +907,14 @@ impl SignatureCache {
         lin: &(impl Linearization + Sync),
         id: &StrategyId,
     ) -> &WholeLatticeCosts {
-        let key = Self::key(schema, id);
-        match self.map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.hits += 1;
-                metrics::record_cache_hit();
-                e.into_mut()
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.misses += 1;
-                metrics::record_cache_miss();
-                e.insert(aggregate_class_costs_with(schema, lin, self.options))
-            }
-        }
+        self.get_or_compute_with(schema, id, || lin)
     }
 
     /// As [`SignatureCache::get_or_compute`], but the linearization is
-    /// built only on a cache miss. A hot cache answers without paying for
-    /// curve construction at all — the fast path for servers pricing the
-    /// same strategies over and over.
+    /// built only on a cache miss that needs a walk: a hit, and a miss on
+    /// a [`StrategyId::Path`] whose dims form a lattice path of `schema`,
+    /// never call `lin` — the fast path for servers pricing the same
+    /// strategies over and over.
     ///
     /// # Panics
     ///
@@ -822,23 +926,86 @@ impl SignatureCache {
         lin: impl FnOnce() -> L,
     ) -> &WholeLatticeCosts {
         let key = Self::key(schema, id);
-        match self.map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.hits += 1;
-                metrics::record_cache_hit();
-                e.into_mut()
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.misses += 1;
-                metrics::record_cache_miss();
-                e.insert(aggregate_class_costs_with(schema, &lin(), self.options))
-            }
+        self.clock += 1;
+        let tick = self.clock;
+        if let Some(&slot) = self.index.get(&key) {
+            self.hits += 1;
+            metrics::record_cache_hit();
+            let cached = self.slots[slot].as_mut().expect("indexed slots are full");
+            cached.last_used = tick;
+            return &cached.table;
         }
+        self.misses += 1;
+        metrics::record_cache_miss();
+        let table = Self::compute(schema, id, self.options, lin);
+        self.insert(key, table, tick)
     }
 
-    /// The cached table for `(schema, id)`, if present.
+    /// A miss: the closed form for a lattice path of `schema`, else a
+    /// walk of the caller's curve.
+    fn compute<L: Linearization + Sync>(
+        schema: &StarSchema,
+        id: &StrategyId,
+        options: AggregateOptions,
+        lin: impl FnOnce() -> L,
+    ) -> WholeLatticeCosts {
+        if let StrategyId::Path { dims, snaked } = id {
+            if let Ok(path) = LatticePath::from_dims(LatticeShape::of_schema(schema), dims.clone())
+            {
+                return WholeLatticeCosts::of_lattice_path(schema, &path, *snaked);
+            }
+        }
+        aggregate_class_costs_with(schema, &lin(), options)
+    }
+
+    /// Inserts a table stamped `tick`, first evicting least-recently-used
+    /// entries until it fits the budget (or nothing else is left).
+    fn insert(&mut self, key: String, table: WholeLatticeCosts, tick: u64) -> &WholeLatticeCosts {
+        let bytes = entry_bytes(&key, &table);
+        while self.bytes + bytes > SIGNATURE_CACHE_BUDGET_BYTES && self.evict_lru() {}
+        self.bytes += bytes;
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        self.index.insert(key.clone(), slot);
+        self.recency.push(Reverse((tick, slot)));
+        &self.slots[slot]
+            .insert(CachedTable {
+                key,
+                table,
+                last_used: tick,
+                bytes,
+            })
+            .table
+    }
+
+    /// Evicts the least recently used entry; `false` when empty.
+    fn evict_lru(&mut self) -> bool {
+        while let Some(Reverse((tick, slot))) = self.recency.pop() {
+            let last_used = self.slots[slot]
+                .as_ref()
+                .expect("recency tracks full slots")
+                .last_used;
+            if last_used != tick {
+                // Hit since this record was pushed: requeue at its stamp.
+                self.recency.push(Reverse((last_used, slot)));
+                continue;
+            }
+            let evicted = self.slots[slot].take().expect("recency tracks full slots");
+            self.index.remove(&evicted.key);
+            self.free.push(slot);
+            self.bytes -= evicted.bytes;
+            return true;
+        }
+        false
+    }
+
+    /// The cached table for `(schema, id)`, if present. A peek: it counts
+    /// neither a hit nor a use.
     pub fn get(&self, schema: &StarSchema, id: &StrategyId) -> Option<&WholeLatticeCosts> {
-        self.map.get(&Self::key(schema, id))
+        let slot = *self.index.get(&Self::key(schema, id))?;
+        self.slots[slot].as_ref().map(|c| &c.table)
     }
 
     /// Cache hits since construction (or [`Self::from_json`]).
@@ -846,30 +1013,31 @@ impl SignatureCache {
         self.hits
     }
 
-    /// Cache misses (i.e. curve walks performed).
+    /// Cache misses (i.e. tables computed). An evicted key misses again.
     pub fn misses(&self) -> u64 {
         self.misses
     }
 
     /// Number of cached tables.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.index.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.index.is_empty()
     }
 
     /// Serializes every cached table to JSON (entries sorted by key, so
     /// the output is deterministic).
     pub fn to_json(&self) -> String {
         let mut entries: Vec<SignatureEntry> = self
-            .map
+            .slots
             .iter()
-            .map(|(key, table)| SignatureEntry {
-                key: key.clone(),
-                table: table.clone(),
+            .flatten()
+            .map(|cached| SignatureEntry {
+                key: cached.key.clone(),
+                table: cached.table.clone(),
             })
             .collect();
         entries.sort_by(|a, b| a.key.cmp(&b.key));
@@ -877,17 +1045,21 @@ impl SignatureCache {
     }
 
     /// Restores a cache serialized with [`Self::to_json`]. Counters start
-    /// at zero.
+    /// at zero; entries are inserted in key order, so under the budget
+    /// the last keys win.
     ///
     /// # Errors
     ///
     /// Returns the underlying `serde_json` error on malformed input.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         let entries: Vec<SignatureEntry> = serde_json::from_str(json)?;
-        Ok(Self {
-            map: entries.into_iter().map(|e| (e.key, e.table)).collect(),
-            ..Self::default()
-        })
+        let mut cache = Self::default();
+        for entry in entries {
+            cache.clock += 1;
+            let tick = cache.clock;
+            cache.insert(entry.key, entry.table, tick);
+        }
+        Ok(cache)
     }
 }
 
@@ -899,7 +1071,8 @@ mod tests {
     use crate::lattice_path::{path_curve, snaked_path_curve};
     use crate::nested::NestedLoops;
     use crate::zorder::ZOrderCurve;
-    use snakes_core::path::LatticePath;
+    use proptest::prelude::*;
+    use snakes_core::schema::Hierarchy;
 
     fn assert_bits_eq(a: &[f64], b: &[f64]) {
         assert_eq!(a.len(), b.len());
@@ -1164,5 +1337,269 @@ mod tests {
         // Deterministic serialization.
         assert_eq!(json, SignatureCache::from_json(&json).unwrap().to_json());
         assert!(SignatureCache::from_json("not json").is_err());
+    }
+
+    /// A schema from per-dimension fanouts, clamped into the range the
+    /// reference walk and path enumeration stay fast on: at most 6 levels
+    /// in all, and a level whose fanout would push the grid past 1024
+    /// cells becomes a fanout-1 level.
+    fn clamped_schema(fanouts: &[Vec<u64>]) -> StarSchema {
+        let (mut levels, mut cells) = (0, 1u64);
+        let dims = fanouts
+            .iter()
+            .enumerate()
+            .map(|(d, fs)| {
+                let mut kept = Vec::new();
+                for &f in fs {
+                    if !kept.is_empty() && levels >= 6 {
+                        break;
+                    }
+                    let f = if cells * f > 1024 { 1 } else { f };
+                    cells *= f;
+                    levels += 1;
+                    kept.push(f);
+                }
+                Hierarchy::new(format!("d{d}"), kept).unwrap()
+            })
+            .collect();
+        StarSchema::new(dims).unwrap()
+    }
+
+    /// Checks the closed form against the reference walk on every lattice
+    /// path of `schema`, plain and snaked.
+    fn assert_closed_form_matches_reference(schema: &StarSchema) {
+        let shape = LatticeShape::of_schema(schema);
+        let w = Workload::from_weights(
+            shape.clone(),
+            (0..shape.num_classes())
+                .map(|r| 1.0 + (r * 7 % 5) as f64 * 0.31)
+                .collect(),
+        )
+        .unwrap();
+        for path in LatticePath::enumerate(&shape) {
+            for snaked in [false, true] {
+                let curve = if snaked {
+                    snaked_path_curve(schema, &path)
+                } else {
+                    path_curve(schema, &path)
+                };
+                let walked = aggregate_class_costs_reference(schema, &curve);
+                let closed = WholeLatticeCosts::of_lattice_path(schema, &path, snaked);
+                let what = format!("{path} snaked={snaked} on {:?}", schema.grid_shape());
+                assert_eq!(
+                    closed.signature_counts(),
+                    walked.signature_counts(),
+                    "{what}"
+                );
+                assert_bits_eq(&closed.class_costs(), &walked.class_costs());
+                assert_eq!(
+                    closed.expected_cost(&w).to_bits(),
+                    walked.expected_cost(&w).to_bits(),
+                    "{what}"
+                );
+                assert_eq!(closed, walked, "{what}");
+            }
+        }
+    }
+
+    proptest! {
+        // Each case walks every lattice path twice with the scalar
+        // reference, which is slow unoptimized; CI runs this property in
+        // release.
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 8 } else { 96 }))]
+
+        #[test]
+        fn closed_form_matches_the_reference_walk(
+            fanouts in (1usize..=4).prop_flat_map(|k| {
+                collection::vec(collection::vec(1u64..=5, 1..=3), k..=k)
+            })
+        ) {
+            assert_closed_form_matches_reference(&clamped_schema(&fanouts));
+        }
+    }
+
+    #[test]
+    fn closed_form_matches_the_reference_walk_on_fixed_schemas() {
+        for fanouts in [
+            vec![vec![1]],
+            vec![vec![1, 1], vec![1]],
+            vec![vec![4, 4]],
+            vec![vec![2, 2], vec![2, 2]],
+            vec![vec![3, 1, 2], vec![5], vec![1, 4]],
+            vec![vec![2], vec![3], vec![1], vec![5]],
+        ] {
+            assert_closed_form_matches_reference(&clamped_schema(&fanouts));
+        }
+    }
+
+    #[test]
+    fn closed_form_signatures_sum_to_the_edge_count() {
+        for fanouts in [
+            vec![vec![1]],
+            vec![vec![5, 1, 3], vec![4, 2]],
+            vec![vec![2; 3]; 3],
+        ] {
+            let schema = clamped_schema(&fanouts);
+            let shape = LatticeShape::of_schema(&schema);
+            for path in LatticePath::enumerate(&shape) {
+                for snaked in [false, true] {
+                    let table = WholeLatticeCosts::of_lattice_path(&schema, &path, snaked);
+                    let total: u64 = table.signature_counts().iter().sum();
+                    assert_eq!(total, schema.num_cells() - 1, "{path} snaked={snaked}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn classes_on_the_path_cost_exactly_one_fragment() {
+        // Each query of a class on the path is one run of the inner
+        // loops, so it is a single fragment, snaked or not.
+        let schema = clamped_schema(&[vec![3, 1, 2], vec![4], vec![2, 2]]);
+        let shape = LatticeShape::of_schema(&schema);
+        for path in LatticePath::enumerate(&shape) {
+            for snaked in [false, true] {
+                let table = WholeLatticeCosts::of_lattice_path(&schema, &path, snaked);
+                for u in path.points() {
+                    assert_eq!(
+                        table.class_average_cost(&u).to_bits(),
+                        1.0f64.to_bits(),
+                        "{path} snaked={snaked} class {u}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_path_miss_builds_no_curve() {
+        let schema = StarSchema::paper_toy();
+        let shape = LatticeShape::of_schema(&schema);
+        let path = LatticePath::from_dims(shape, vec![1, 0, 0, 1]).unwrap();
+        let mut cache = SignatureCache::new();
+        for snaked in [false, true] {
+            let id = StrategyId::Path {
+                dims: path.dims().to_vec(),
+                snaked,
+            };
+            let got = cache
+                .get_or_compute_with(&schema, &id, || -> NestedLoops {
+                    panic!("a path miss must not build the curve")
+                })
+                .clone();
+            assert_eq!(
+                got,
+                WholeLatticeCosts::of_lattice_path(&schema, &path, snaked)
+            );
+        }
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+    }
+
+    #[test]
+    fn an_id_that_is_not_a_path_of_the_schema_walks_the_curve() {
+        let schema = StarSchema::paper_toy();
+        let lin = NestedLoops::row_major(vec![4, 4], &[0, 1]);
+        // Dims 0,1 step each dimension once: not a path of the 2×2-level
+        // toy lattice, so the miss falls back to the caller's curve.
+        let id = StrategyId::Path {
+            dims: vec![0, 1],
+            snaked: false,
+        };
+        let mut cache = SignatureCache::new();
+        let mut built = false;
+        let got = cache
+            .get_or_compute_with(&schema, &id, || {
+                built = true;
+                lin.clone()
+            })
+            .clone();
+        assert!(built);
+        assert_eq!(got, aggregate_class_costs(&schema, &lin));
+    }
+
+    /// Fills a fresh cache with toy-schema tables under distinct named
+    /// ids until the first eviction; returns the cache and how many
+    /// entries it held just before.
+    fn cache_filled_to_the_budget() -> (SignatureCache, usize) {
+        let schema = StarSchema::paper_toy();
+        let lin = NestedLoops::row_major(vec![4, 4], &[0, 1]);
+        let mut cache = SignatureCache::new();
+        for i in 0.. {
+            cache.get_or_compute(&schema, &lin, &StrategyId::Named(format!("n{i}")));
+            assert!(cache.bytes <= SIGNATURE_CACHE_BUDGET_BYTES);
+            if cache.len() as u64 != cache.misses() {
+                return (cache, i);
+            }
+        }
+        unreachable!()
+    }
+
+    #[test]
+    fn cache_bytes_stay_within_the_budget() {
+        let (mut cache, held) = cache_filled_to_the_budget();
+        // Toy tables are a few hundred bytes: the budget holds thousands.
+        assert!(held > 1000, "{held} entries");
+        assert_eq!(cache.len(), held, "one in, one out");
+        let accounted: usize = cache.slots.iter().flatten().map(|c| c.bytes).sum();
+        assert_eq!(cache.bytes, accounted);
+        // A table larger than the whole budget is kept, alone.
+        let wide = StarSchema::new(
+            (0..17)
+                .map(|d| Hierarchy::new(format!("w{d}"), vec![1]).unwrap())
+                .collect(),
+        )
+        .unwrap();
+        let id = StrategyId::Path {
+            dims: (0..17).collect(),
+            snaked: true,
+        };
+        let unused = || -> NestedLoops { unreachable!("a path miss builds no curve") };
+        cache.get_or_compute_with(&wide, &id, unused);
+        assert_eq!(cache.len(), 1);
+        assert!(cache.bytes > SIGNATURE_CACHE_BUDGET_BYTES);
+        // The next insert does not fit beside it, so it goes.
+        let toy = StarSchema::paper_toy();
+        let lin = NestedLoops::row_major(vec![4, 4], &[0, 1]);
+        cache.get_or_compute(&toy, &lin, &StrategyId::Named("small".into()));
+        assert_eq!(cache.len(), 1);
+        assert!(cache.get(&wide, &id).is_none());
+        assert!(cache.bytes <= SIGNATURE_CACHE_BUDGET_BYTES);
+    }
+
+    #[test]
+    fn eviction_takes_the_least_recently_used_entry() {
+        let schema = StarSchema::paper_toy();
+        let lin = NestedLoops::row_major(vec![4, 4], &[0, 1]);
+        let named = |i: usize| StrategyId::Named(format!("n{i}"));
+        let (_, held) = cache_filled_to_the_budget();
+        let mut cache = SignatureCache::new();
+        for i in 0..held {
+            cache.get_or_compute(&schema, &lin, &named(i));
+        }
+        // Touch n0 after every newer insert: it is now the most recent.
+        cache.get_or_compute(&schema, &lin, &named(0));
+        cache.get_or_compute(&schema, &lin, &named(held));
+        assert!(cache.get(&schema, &named(0)).is_some(), "a hit refreshes");
+        assert!(cache.get(&schema, &named(1)).is_none(), "n1 is the oldest");
+        cache.get_or_compute(&schema, &lin, &named(held + 1));
+        assert!(cache.get(&schema, &named(2)).is_none(), "then n2");
+        assert!(cache.get(&schema, &named(0)).is_some());
+        assert_eq!(cache.len(), held);
+    }
+
+    #[test]
+    fn an_evicted_key_misses_again() {
+        let schema = StarSchema::paper_toy();
+        let lin = NestedLoops::row_major(vec![4, 4], &[0, 1]);
+        let (mut cache, held) = cache_filled_to_the_budget();
+        let (hits, misses) = (cache.hits(), cache.misses());
+        assert_eq!((hits, misses), (0, held as u64 + 1));
+        // n0 was evicted by the insert that overflowed the budget.
+        let n0 = StrategyId::Named("n0".into());
+        assert!(cache.get(&schema, &n0).is_none());
+        cache.get_or_compute(&schema, &lin, &n0);
+        assert_eq!((cache.hits(), cache.misses()), (hits, misses + 1));
+        cache.get_or_compute(&schema, &lin, &n0);
+        assert_eq!((cache.hits(), cache.misses()), (hits + 1, misses + 1));
     }
 }

@@ -33,7 +33,7 @@ pub mod zorder;
 
 pub use aggregate::{
     aggregate_class_costs, aggregate_class_costs_reference, aggregate_class_costs_with,
-    AggregateOptions, SignatureCache, StrategyId, WholeLatticeCosts,
+    AggregateOptions, SignatureCache, StrategyId, WholeLatticeCosts, SIGNATURE_CACHE_BUDGET_BYTES,
 };
 pub use analysis::{
     alternating_paths, hilbert_sandwich_certificate, hilbert_sandwich_pair,

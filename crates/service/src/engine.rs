@@ -43,12 +43,27 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Largest grid (cells) a `price` request may name, analytic or
-/// measured, and a reclustering job may migrate. Pricing on a signature
-/// cache miss builds the curve and walks every cell, and a `measure`
-/// packs every cell, so the bound is checked before any curve is built:
+/// measured, and a reclustering job may migrate. A `hilbert` price on a
+/// signature-cache miss builds the curve and walks every cell, and a
+/// `measure` packs every cell, so the bound is checked before any curve
+/// is built:
 /// one hostile request can neither allocate the machine away nor stall
 /// its shard.
 pub const MAX_MEASURE_CELLS: u64 = 1 << 22;
+
+/// Largest class lattice (`|L| = Π (ℓ_d + 1)`) a request may name. Every
+/// workload, DP table and signature table has one entry per class, so the
+/// bound is checked right after the schema is built, before any of them
+/// is: a few-hundred-byte frame naming 40 fanout-1 dimensions has one
+/// cell but 2^40 classes.
+pub const MAX_CLASSES: u64 = 1 << 20;
+
+/// Largest `recommend` a request may ask for, in units of
+/// `k! · |L| · Σℓ_d`: the advisor prices all `k!` row-major orders per
+/// class, at ~11–22 ns a unit, so the bound holds one request near
+/// 100 ms. k = 5 at 2 levels a dimension (291 600 units) passes; k = 6 at
+/// 4 levels (2.7·10^8) is refused.
+pub const MAX_RECOMMEND_UNITS: u64 = 1 << 22;
 
 /// Largest table a *physical* measurement (`measure.physical`) may
 /// bulk-load, in record bytes (64 MiB). The analytic memo path has no
@@ -601,11 +616,11 @@ impl Engine {
     }
 
     fn parse_inputs(&self, req: &Request) -> Result<(StarSchema, Workload), ServiceError> {
-        let schema = req
-            .schema_spec()
-            .cloned()
-            .ok_or_else(|| ServiceError::BadRequest("`schema` is required".into()))?
-            .build()?;
+        let schema = admit_schema(
+            req.schema_spec()
+                .cloned()
+                .ok_or_else(|| ServiceError::BadRequest("`schema` is required".into()))?,
+        )?;
         let shape = LatticeShape::of_schema(&schema);
         let workload = req
             .workload_spec()
@@ -622,6 +637,7 @@ impl Engine {
         scope: &mut BatchScope,
     ) -> Result<Response, ServiceError> {
         let (schema, workload) = self.parse_inputs(req)?;
+        bounded_recommend(&schema)?;
         deadline.check()?;
         let key = RecommendKey {
             schema: schema.fingerprint(),
@@ -687,8 +703,8 @@ impl Engine {
                 let (cost, hit) = {
                     let mut cache = self.signatures.lock();
                     let hits_before = cache.hits();
-                    // The curve is built only on a signature-cache miss:
-                    // the steady-state pricing path never walks the grid.
+                    // The curve is built only on a `hilbert` miss: hits and
+                    // lattice-path misses (closed form) never walk the grid.
                     let table = cache.get_or_compute_with(&schema, &id, || lazy.build(&schema));
                     (table.expected_cost(&workload), cache.hits() > hits_before)
                 };
@@ -800,7 +816,7 @@ impl Engine {
         let mut session = session.lock();
         if let Some(spec) = req.schema_spec() {
             // A schema on a follow-up call must agree with the session's.
-            let schema = spec.clone().build()?;
+            let schema = admit_schema(spec.clone())?;
             if schema.fingerprint() != session.schema_fingerprint {
                 return Err(ServiceError::BadRequest(format!(
                     "session `{name}` was created for a different schema"
@@ -1040,7 +1056,8 @@ impl Engine {
             None => {
                 // Default target: the advisor's recommendation for the
                 // posted workload.
-                let schema = schema_spec.clone().build()?;
+                let schema = admit_schema(schema_spec.clone())?;
+                bounded_recommend(&schema)?;
                 let shape = LatticeShape::of_schema(&schema);
                 let workload = req
                     .workload_spec()
@@ -1514,6 +1531,44 @@ pub(crate) fn bounded_cells(schema: &StarSchema) -> Result<u64, ServiceError> {
         _ => Err(ServiceError::BadRequest(format!(
             "grid has {} cells; requests are capped at {MAX_MEASURE_CELLS}",
             cells.map_or_else(|| "over 2^64".to_string(), |c| c.to_string())
+        ))),
+    }
+}
+
+/// Builds a request's schema and checks its class lattice against
+/// [`MAX_CLASSES`] before anything sized by it is allocated.
+pub(crate) fn admit_schema(spec: SchemaSpec) -> Result<StarSchema, ServiceError> {
+    let schema = spec.build()?;
+    let classes = schema
+        .levels()
+        .iter()
+        .try_fold(1u64, |acc, &l| acc.checked_mul(l as u64 + 1));
+    match classes {
+        Some(classes) if classes <= MAX_CLASSES => Ok(schema),
+        _ => Err(ServiceError::BadRequest(format!(
+            "lattice has {} classes; requests are capped at {MAX_CLASSES}",
+            classes.map_or_else(|| "over 2^64".to_string(), |c| c.to_string())
+        ))),
+    }
+}
+
+/// Refuses a `recommend` whose `k! · |L| · Σℓ_d` exceeds
+/// [`MAX_RECOMMEND_UNITS`]. Call after [`admit_schema`], which bounds
+/// `|L|`.
+fn bounded_recommend(schema: &StarSchema) -> Result<(), ServiceError> {
+    let levels = schema.levels();
+    let classes = LatticeShape::of_schema(schema).num_classes() as u64;
+    let units = (1..=levels.len() as u64)
+        .try_fold(1u64, |acc, i| acc.checked_mul(i))
+        .and_then(|fact| fact.checked_mul(classes))
+        .and_then(|u| u.checked_mul(levels.iter().sum::<usize>() as u64));
+    match units {
+        Some(units) if units <= MAX_RECOMMEND_UNITS => Ok(()),
+        _ => Err(ServiceError::BadRequest(format!(
+            "recommend on k = {} dimensions and {classes} classes costs {} units \
+             (k!·|L|·Σℓ); requests are capped at {MAX_RECOMMEND_UNITS}",
+            levels.len(),
+            units.map_or_else(|| "over 2^64".to_string(), |u| u.to_string())
         ))),
     }
 }

@@ -848,6 +848,8 @@ pub struct BatchingStatsBody {
 /// Whole-lattice aggregation-kernel counters of the `stats` payload: how
 /// signature-cache misses were computed (blocked + LUT kernel vs the
 /// scalar fallback vs a multi-worker walk) and where the time went.
+/// Lattice-path misses are computed in closed form, with no walk, and
+/// count in none of these.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AggregationStatsBody {
     /// Curve walks served by the blocked + LUT kernel.

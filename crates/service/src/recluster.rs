@@ -20,7 +20,7 @@
 //!   bit-identical to what either pure layout would serve.
 
 use crate::durability::ReclusterSnapshot;
-use crate::engine::{bounded_cells, resolve_strategy, WireCurve, MAX_PHYSICAL_BYTES};
+use crate::engine::{admit_schema, bounded_cells, resolve_strategy, WireCurve, MAX_PHYSICAL_BYTES};
 use crate::error::ServiceError;
 use crate::protocol::ReclusterBody;
 use snakes_curves::Linearization;
@@ -114,7 +114,7 @@ pub(crate) fn synthetic_record(record_size: u64, coords: &[u64], index: u64) -> 
 /// `BadRequest` on invalid specs or capped geometry; I/O errors surface
 /// from the in-memory paged engine (practically infallible).
 pub(crate) fn build_job(snap: ReclusterSnapshot) -> Result<ReclusterJob, ServiceError> {
-    let schema = snap.schema.clone().build()?;
+    let schema = admit_schema(snap.schema.clone())?;
     let total_cells = bounded_cells(&schema)?;
     let (from_lazy, _, from_label) = resolve_strategy(&schema, &snap.from)?;
     let (to_lazy, _, to_label) = resolve_strategy(&schema, &snap.to)?;

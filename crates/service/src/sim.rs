@@ -1143,24 +1143,44 @@ mod tests {
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
-    /// Buffers pipelined toy-schema `price` frames with the given ids on
-    /// a fresh pipe pair and returns `(to_server, from_server)`.
-    fn pipelined_prices(ids: std::ops::RangeInclusive<u64>) -> (Arc<Pipe>, Arc<Pipe>) {
+    /// A toy-schema `price` frame with id `id` and an `id`-salted
+    /// workload.
+    fn toy_price(id: u64) -> Request {
         let schema = StarSchema::paper_toy();
         let shape = LatticeShape::of_schema(&schema);
+        let mut req = Request::price(
+            SchemaSpec::of(&schema),
+            WorkloadSpec::of(&salted_workload(&shape, id)),
+            StrategySpec::snaked_path(TOY_PATH_DIMS[0].to_vec()),
+        );
+        req.id = id;
+        req
+    }
+
+    /// A bare `endpoint` frame with id `id`.
+    fn control(endpoint: &str, id: u64) -> Request {
+        let mut req = Request::new(endpoint);
+        req.id = id;
+        req
+    }
+
+    /// Buffers `frames` on a fresh pipe pair and returns
+    /// `(to_server, from_server)`. Buffered before the connection is
+    /// handed to a shard, the frames are all read, and admitted or
+    /// answered in order, in one tick, before anything executes.
+    fn pipelined(frames: &[Request]) -> (Arc<Pipe>, Arc<Pipe>) {
         let to_server = Pipe::new();
-        for id in ids {
-            let mut req = Request::price(
-                SchemaSpec::of(&schema),
-                WorkloadSpec::of(&salted_workload(&shape, id)),
-                StrategySpec::snaked_path(TOY_PATH_DIMS[0].to_vec()),
-            );
-            req.id = id;
+        for req in frames {
             let mut frame = req.to_line().into_bytes();
             frame.push(b'\n');
             to_server.write(&frame).expect("pipe open");
         }
         (to_server, Pipe::new())
+    }
+
+    /// Buffers pipelined toy-schema `price` frames with the given ids.
+    fn pipelined_prices(ids: std::ops::RangeInclusive<u64>) -> (Arc<Pipe>, Arc<Pipe>) {
+        pipelined(&ids.map(toy_price).collect::<Vec<_>>())
     }
 
     /// Reads exactly `n` response lines from `from_server`, failing after
@@ -1200,6 +1220,50 @@ mod tests {
         panic!("timed out waiting until {what}");
     }
 
+    /// Starts a sharded core of `shards` sim shards (`retry_after_ms:
+    /// 42`), after folding `preload` into the engine's service-time EWMA.
+    fn sim_core(
+        shards: usize,
+        queue_capacity: usize,
+        preload: Option<Duration>,
+    ) -> (Arc<ShardedCore>, Vec<std::thread::JoinHandle<()>>) {
+        let engine = Engine::with_limits(shards, queue_capacity);
+        if let Some(sample) = preload {
+            engine.registry.record_service_time(sample);
+        }
+        let config = ShardedConfig {
+            shards,
+            queue_capacity,
+            retry_after_ms: 42,
+        };
+        ShardedCore::start(engine, &config, |_| Ok(Box::new(SimReactor::new())))
+            .expect("sim reactors cannot fail")
+    }
+
+    /// Runs `frames` pipelined on one connection to a 1-shard core (see
+    /// [`pipelined`]) and returns every answer, in frame order, with the
+    /// core, after its shard has exited.
+    fn one_tick(
+        queue_capacity: usize,
+        preload: Option<Duration>,
+        frames: &[Request],
+    ) -> (Vec<Response>, Arc<ShardedCore>) {
+        let (core, threads) = sim_core(1, queue_capacity, preload);
+        let (to_server, from_server) = pipelined(frames);
+        core.add_connection(Box::new(SimDuplex {
+            read: Arc::clone(&to_server),
+            write: Arc::clone(&from_server),
+        }));
+        let responses = read_responses(&from_server, frames.len());
+        to_server.close();
+        core.shutdown();
+        for handle in threads {
+            handle.join().expect("shard thread");
+        }
+        assert!(responses.iter().zip(frames).all(|(r, f)| r.id == f.id));
+        (responses, core)
+    }
+
     /// Pipelines three `price` frames (ids 1–3) on one connection to a
     /// 1-shard sharded core with `queue_capacity: 1` and
     /// `retry_after_ms: 42`, after folding `preload` into the engine's
@@ -1211,30 +1275,8 @@ mod tests {
     /// executes anything: frame 1 is admitted, and frames 2 and 3 are
     /// shed while exactly one request is queued (`queue_depth == 1`).
     fn shed_hints(preload: Option<Duration>) -> Vec<Option<u64>> {
-        let engine = Engine::with_limits(1, 1);
-        if let Some(sample) = preload {
-            engine.registry.record_service_time(sample);
-        }
-        let config = ShardedConfig {
-            shards: 1,
-            queue_capacity: 1,
-            retry_after_ms: 42,
-        };
-        let (core, threads) =
-            ShardedCore::start(engine, &config, |_| Ok(Box::new(SimReactor::new())))
-                .expect("sim reactors cannot fail");
-        let (to_server, from_server) = pipelined_prices(1..=3);
-        core.add_connection(Box::new(SimDuplex {
-            read: Arc::clone(&to_server),
-            write: Arc::clone(&from_server),
-        }));
-
-        let responses = read_responses(&from_server, 3);
-        to_server.close();
-        core.shutdown();
-        for handle in threads {
-            handle.join().expect("shard thread");
-        }
+        let prices: Vec<Request> = (1..=3).map(toy_price).collect();
+        let (responses, core) = one_tick(1, preload, &prices);
         assert!(responses[0].ok, "frame 1 is admitted: {:?}", responses[0]);
         assert_eq!(responses[0].id, 1);
         let stats = core.engine().stats_body();
@@ -1280,18 +1322,7 @@ mod tests {
     /// shard 0's frame 2) would give 28.
     #[test]
     fn shed_retry_hints_count_only_the_shedding_shards_queue() {
-        let engine = Engine::with_limits(2, 2);
-        engine
-            .registry
-            .record_service_time(Duration::from_millis(7));
-        let config = ShardedConfig {
-            shards: 2,
-            queue_capacity: 2,
-            retry_after_ms: 42,
-        };
-        let (core, threads) =
-            ShardedCore::start(engine, &config, |_| Ok(Box::new(SimReactor::new())))
-                .expect("sim reactors cannot fail");
+        let (core, threads) = sim_core(2, 2, Some(Duration::from_millis(7)));
         let registry = &core.engine().registry;
         let frozen = core.engine().hold_signatures();
 
@@ -1337,6 +1368,91 @@ mod tests {
         assert_eq!(err.code, "overloaded", "{err:?}");
         assert_eq!(err.retry_after_ms, Some(21));
         assert_eq!(price_shed(), 1);
+    }
+
+    fn error_code(resp: &Response) -> Option<&str> {
+        resp.error.as_ref().map(|e| e.code.as_str())
+    }
+
+    /// The drain contract: work admitted before the `shutdown` ack is
+    /// answered; every frame after it gets `shutting_down`, the drain
+    /// being engine-wide the moment the ack is queued.
+    #[test]
+    fn a_drain_answers_admitted_work_and_refuses_later_frames() {
+        let (responses, _) = one_tick(
+            4,
+            None,
+            &[
+                toy_price(1),
+                toy_price(2),
+                control("shutdown", 3),
+                control("ping", 4),
+                toy_price(5),
+            ],
+        );
+        assert!(responses[..3].iter().all(|r| r.ok), "{responses:?}");
+        for refused in &responses[3..] {
+            assert_eq!(error_code(refused), Some("shutting_down"), "{refused:?}");
+        }
+    }
+
+    /// With the queue full, the next frame is shed, `shutdown` still acks
+    /// (it is answered at dispatch, before admission), and the admitted
+    /// request drains to its answer.
+    #[test]
+    fn a_full_queue_sheds_while_shutdown_still_acks_and_drains() {
+        let (responses, _) = one_tick(
+            1,
+            None,
+            &[
+                toy_price(1),
+                toy_price(2),
+                control("shutdown", 3),
+                control("ping", 4),
+            ],
+        );
+        assert!(responses[0].ok, "{:?}", responses[0]);
+        assert_eq!(error_code(&responses[1]), Some("overloaded"));
+        assert!(responses[2].ok, "shutdown acks on a full queue");
+        assert_eq!(error_code(&responses[3]), Some("shutting_down"));
+    }
+
+    /// A drain requested on one shard keeps every request another shard
+    /// admitted: shard 0 is frozen executing frame 1 with frame 2 queued
+    /// when shard 1 acks the `shutdown`, and both still get answers.
+    #[test]
+    fn a_drain_keeps_the_work_other_shards_admitted() {
+        let (core, threads) = sim_core(2, 4, None);
+        let registry = &core.engine().registry;
+        let frozen = core.engine().hold_signatures();
+        // Connections are dealt round-robin: the first goes to shard 0.
+        let (to_zero, from_zero) = pipelined_prices(1..=2);
+        core.add_connection(Box::new(SimDuplex {
+            read: Arc::clone(&to_zero),
+            write: Arc::clone(&from_zero),
+        }));
+        wait_until("shard 0 runs frame 1 with frame 2 queued", || {
+            registry.admitted.load(Ordering::SeqCst) == 2
+                && registry.queue_depth.load(Ordering::SeqCst) == 1
+        });
+        let (to_one, from_one) = pipelined(&[control("shutdown", 3), control("ping", 4)]);
+        core.add_connection(Box::new(SimDuplex {
+            read: Arc::clone(&to_one),
+            write: Arc::clone(&from_one),
+        }));
+        let one = read_responses(&from_one, 2);
+        assert!(one[0].ok, "{:?}", one[0]);
+        assert_eq!(error_code(&one[1]), Some("shutting_down"));
+        assert!(core.draining());
+        drop(frozen);
+        let zero = read_responses(&from_zero, 2);
+        assert!(zero.iter().all(|r| r.ok), "{zero:?}");
+        to_zero.close();
+        to_one.close();
+        for handle in threads {
+            handle.join().expect("shard thread");
+        }
+        assert_eq!(registry.jobs_finished.load(Ordering::SeqCst), 2);
     }
 
     #[test]

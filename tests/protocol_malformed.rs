@@ -274,3 +274,88 @@ fn hilbert_beyond_the_rank_space_is_a_bad_request() {
     assert_eq!(resp["ok"].as_bool(), Some(true), "{resp:?}");
     server.join();
 }
+
+/// A v1 frame for `endpoint` on `k` dimensions of `fanouts` each, with
+/// all query weight on the bottom class; `extra` is spliced in as more
+/// fields.
+fn lattice_frame(id: u64, endpoint: &str, k: usize, fanouts: &str, extra: &str) -> Vec<u8> {
+    let dims: Vec<String> = (0..k)
+        .map(|d| format!("{{\"name\":\"d{d}\",\"fanouts\":[{fanouts}]}}"))
+        .collect();
+    let bottom = vec!["0"; k].join(",");
+    format!(
+        "{{\"v\":1,\"id\":{id},\"endpoint\":\"{endpoint}\",\"schema\":{{\"dims\":[{}]}},\
+         \"workload\":{{\"classes\":[{{\"class\":[{bottom}],\"weight\":1}}]}}{extra}}}\n",
+        dims.join(",")
+    )
+    .into_bytes()
+}
+
+#[test]
+fn oversized_lattices_are_refused_before_any_workload_is_built() {
+    let server = Server::spawn(ServerConfig::default()).expect("spawn");
+    let mut conn = RawConn::open(server.local_addr());
+    // One cell, so the cell bound passes, but 2^40 classes (a dense
+    // workload of 8 TiB) and 2^64 classes (beyond u64).
+    for k in [40usize, 64] {
+        let every_dim: Vec<String> = (0..k).map(|d| d.to_string()).collect();
+        let strategy = format!(",\"strategy\":{{\"dims\":[{}]}}", every_dim.join(","));
+        let recluster = format!(
+            ",\"session\":\"wide{k}\",\"recluster\":{{\"from\":{{\"dims\":[{0}]}},\
+             \"to\":{{\"dims\":[{0}]}}}}",
+            every_dim.join(",")
+        );
+        let session = format!(",\"session\":\"wide{k}\",\"deltas\":[]");
+        for (endpoint, extra) in [
+            ("price", strategy.as_str()),
+            ("recommend", ""),
+            ("drift", session.as_str()),
+            ("explain", ""),
+            ("recluster", recluster.as_str()),
+        ] {
+            let frame = lattice_frame(21, endpoint, k, "1", extra);
+            let resp = conn.expect_error(&frame, "bad_request");
+            let message = resp["error"]["message"].as_str().unwrap();
+            assert!(message.contains("classes"), "{endpoint} k={k}: {resp:?}");
+            conn.assert_usable();
+        }
+    }
+    server.join();
+}
+
+#[test]
+fn recommend_is_bounded_at_admission() {
+    let server = Server::spawn(ServerConfig::default()).expect("spawn");
+    let mut conn = RawConn::open(server.local_addr());
+    // k = 5 at 2 levels: 5! · 3^5 · 10 = 291 600 units, under the bound.
+    conn.send_raw(&lattice_frame(31, "recommend", 5, "2,1", ""));
+    let resp = conn.recv();
+    assert_eq!(resp["ok"].as_bool(), Some(true), "{resp:?}");
+    // k = 6 at 4 levels: 6! · 5^6 · 24 = 2.7·10^8 units; k = 7 at one
+    // level: 7! · 2^7 · 7 = 4.5·10^6 units, just over 2^22.
+    for (k, fanouts) in [(6, "1,1,1,1"), (7, "2")] {
+        let resp = conn.expect_error(
+            &lattice_frame(32, "recommend", k, fanouts, ""),
+            "bad_request",
+        );
+        let message = resp["error"]["message"].as_str().unwrap();
+        assert!(message.contains("units"), "k={k}: {resp:?}");
+        conn.assert_usable();
+    }
+    // A recluster that defaults its target to the recommendation is
+    // bounded the same way.
+    let frame = lattice_frame(
+        33,
+        "recluster",
+        6,
+        "1,1,1,1",
+        ",\"session\":\"big\",\"recluster\":{\"from\":{\"dims\":[0,0,0,0,1,1,1,1,2,2,2,2,\
+         3,3,3,3,4,4,4,4,5,5,5,5]}}",
+    );
+    let resp = conn.expect_error(&frame, "bad_request");
+    assert!(
+        resp["error"]["message"].as_str().unwrap().contains("units"),
+        "{resp:?}"
+    );
+    server.join();
+}

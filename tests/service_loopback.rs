@@ -11,7 +11,10 @@
 //!    (the exact values are pinned in the simulator:
 //!    `sim::tests::shed_retry_hints_follow_the_documented_formula`);
 //! 3. **Graceful drain**: `shutdown` stops admission but every already
-//!    admitted request still gets its response.
+//!    admitted request still gets its response. Which requests are
+//!    admitted before the drain depends on the interleaving, so the exact
+//!    per-frame contracts are pinned in the simulator (`sim::tests::a_*`)
+//!    and only their interleaving-free consequences are checked here.
 
 use snakes_sandwiches::core::cost::CostModel;
 use snakes_sandwiches::core::dp::IncrementalDp;
@@ -312,90 +315,80 @@ fn deadlines_cancel_queued_and_running_work() {
     server.join();
 }
 
-#[test]
-fn shutdown_while_the_admission_queue_is_saturated() {
-    // workers=1, queue=1: one request runs, one fills the queue. The
-    // `shutdown` endpoint is handled at dispatch, before admission, so it
-    // must ack even though the queue has no free slot — and both admitted
-    // requests must still complete through the drain.
-    let server = Server::spawn(ServerConfig {
-        workers: 1,
-        queue_capacity: 1,
-        ..ServerConfig::default()
-    })
-    .expect("spawn");
+/// Two clients send slow prices while a third asks for a drain. Which
+/// prices are admitted before the drain depends on the interleaving (the
+/// exact contracts are pinned in the simulator: `sim::tests::a_drain_*`
+/// and `a_full_queue_sheds_while_shutdown_still_acks_and_drains`), so
+/// this checks only what holds on every interleaving:
+///
+/// - the shutdown acks;
+/// - a price is answered ok, shed (`overloaded`) or refused
+///   (`shutting_down`), or finds its connection already closed by the
+///   drain when its client stalled past the drain grace window;
+/// - every price the server admitted is answered ok;
+/// - a frame after the ack is refused, or finds the connection closed;
+/// - `join` completes: no worker is stuck on a closed queue.
+fn drain_under_load(config: ServerConfig) {
+    let server = Server::spawn(config).expect("spawn");
     let addr = server.local_addr();
     let delivered = AtomicU64::new(0);
     std::thread::scope(|scope| {
         for i in 0..2 {
             let delivered = &delivered;
             scope.spawn(move || {
-                // Stagger: the first request must reach the worker before
-                // the second arrives to occupy the queue's single slot.
-                std::thread::sleep(std::time::Duration::from_millis(i as u64 * 100));
-                let mut client = Client::connect(addr).expect("connect");
-                let resp = client.call(slow_price_request(i)).expect("drained reply");
-                assert!(resp.ok, "{:?}", resp.error);
-                delivered.fetch_add(1, Ordering::Relaxed);
+                let Ok(mut client) = Client::connect(addr) else {
+                    return; // the drain already closed the listener
+                };
+                match client.call(slow_price_request(i)) {
+                    Ok(resp) if resp.ok => {
+                        delivered.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Ok(resp) => {
+                        let code = resp.error.expect("an error body").code;
+                        assert!(code == "overloaded" || code == "shutting_down", "{code}");
+                    }
+                    Err(_) => {} // closed by the drain before it was read
+                }
             });
         }
         scope.spawn(move || {
-            // Wait until the worker is busy and the queue is saturated.
-            std::thread::sleep(std::time::Duration::from_millis(300));
+            std::thread::sleep(std::time::Duration::from_millis(200));
             let mut client = Client::connect(addr).expect("connect");
-            let bye = client.shutdown().expect("shutdown acks on a full queue");
+            let bye = client.shutdown().expect("shutdown acks");
             assert!(bye.ok, "{:?}", bye.error);
-            // New work is refused in-band while the backlog drains.
-            let refused = client.call(Request::new("ping")).expect("refusal arrives");
-            assert!(!refused.ok);
-            assert_eq!(refused.error.unwrap().code, "shutting_down");
+            if let Ok(refused) = client.call(Request::new("ping")) {
+                assert!(!refused.ok);
+                assert_eq!(refused.error.unwrap().code, "shutting_down");
+            }
         });
     });
+    let stats = server.engine().stats_body();
+    let admitted = stats
+        .endpoints
+        .iter()
+        .find(|e| e.endpoint == "price")
+        .map_or(0, |e| e.requests);
     assert_eq!(
         delivered.load(Ordering::Relaxed),
-        2,
-        "the saturated backlog must drain, not drop"
+        admitted,
+        "every admitted request keeps its response across the drain"
     );
-    // join() completes: no worker is stuck waiting on a closed queue.
     server.join();
 }
 
 #[test]
+fn shutdown_while_the_admission_queue_is_saturated() {
+    drain_under_load(ServerConfig {
+        workers: 1,
+        queue_capacity: 1,
+        ..ServerConfig::default()
+    });
+}
+
+#[test]
 fn shutdown_drains_without_losing_admitted_responses() {
-    let server = Server::spawn(ServerConfig {
+    drain_under_load(ServerConfig {
         workers: 1,
         ..ServerConfig::default()
-    })
-    .expect("spawn");
-    let addr = server.local_addr();
-    let delivered = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        // Two slow requests: one runs, one queues.
-        for i in 0..2 {
-            let delivered = &delivered;
-            scope.spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                let resp = client.call(slow_price_request(i)).expect("drained reply");
-                assert!(resp.ok, "{:?}", resp.error);
-                delivered.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        scope.spawn(move || {
-            // Let both requests get admitted, then pull the plug.
-            std::thread::sleep(std::time::Duration::from_millis(200));
-            let mut client = Client::connect(addr).expect("connect");
-            let bye = client.shutdown().expect("shutdown acks");
-            assert!(bye.ok);
-            // Post-drain, new work is refused in-band.
-            let refused = client.call(Request::new("ping")).expect("refusal arrives");
-            assert!(!refused.ok);
-            assert_eq!(refused.error.unwrap().code, "shutting_down");
-        });
     });
-    assert_eq!(
-        delivered.load(Ordering::Relaxed),
-        2,
-        "every admitted request keeps its response across the drain"
-    );
-    server.join();
 }
