@@ -81,6 +81,7 @@ use snakes_core::path::LatticePath;
 use snakes_core::schema::StarSchema;
 use snakes_core::workload::Workload;
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 
 /// Ranks decoded per [`Linearization::coords_block`] call in the blocked
@@ -798,26 +799,28 @@ pub const SIGNATURE_CACHE_BUDGET_BYTES: usize = 1 << 20;
 /// A cached table with its key, recency stamp and accounted size.
 #[derive(Debug, Clone)]
 struct CachedTable {
-    key: String,
+    fingerprint: u64,
+    id: StrategyId,
     table: WholeLatticeCosts,
     /// The cache clock at the last insert or hit.
     last_used: u64,
     bytes: usize,
 }
 
+/// The fixed charge per entry for its slot, index entry and recency
+/// record. A constant rather than the current `size_of`s, so how many
+/// tables the budget holds does not move when the in-memory layout does.
+const ENTRY_BOOKKEEPING_BYTES: usize = 192;
+
 /// The bytes one entry accounts against [`SIGNATURE_CACHE_BUDGET_BYTES`]:
-/// its slot, its index entry, both copies of the key, its recency record
-/// and the table's vectors.
-fn entry_bytes(key: &str, table: &WholeLatticeCosts) -> usize {
+/// its bookkeeping, its key (charged as two copies of the serialized key,
+/// `key_len` bytes each) and the table's vectors.
+fn entry_bytes(key_len: usize, table: &WholeLatticeCosts) -> usize {
     let words = table.shape.levels().len()
         + table.signature.len()
         + table.internal.len()
         + table.queries.len();
-    std::mem::size_of::<Option<CachedTable>>()
-        + std::mem::size_of::<(String, usize)>()
-        + std::mem::size_of::<Reverse<(u64, usize)>>()
-        + 2 * key.len()
-        + words * std::mem::size_of::<u64>()
+    ENTRY_BOOKKEEPING_BYTES + 2 * key_len + words * std::mem::size_of::<u64>()
 }
 
 /// Memoized crossing-signature tables, keyed by
@@ -857,8 +860,9 @@ fn entry_bytes(key: &str, table: &WholeLatticeCosts) -> usize {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct SignatureCache {
-    /// Key → slot: a hit is one lookup and a slot stamp.
-    index: HashMap<String, usize>,
+    /// Fingerprint → strategy → slot: a hit is two lookups and a slot
+    /// stamp, with no key to build.
+    index: HashMap<u64, HashMap<StrategyId, usize>>,
     slots: Vec<Option<CachedTable>>,
     /// Vacated slots, reused before the slab grows.
     free: Vec<usize>,
@@ -888,8 +892,44 @@ impl SignatureCache {
         }
     }
 
-    fn key(schema: &StarSchema, id: &StrategyId) -> String {
-        format!("{:016x}/{}", schema.fingerprint(), id.key_fragment())
+    /// The serialized form of the key `(fingerprint, id)`, as written by
+    /// [`Self::to_json`].
+    fn key(fingerprint: u64, id: &StrategyId) -> String {
+        format!("{fingerprint:016x}/{}", id.key_fragment())
+    }
+
+    /// The key `(fingerprint, id)` that [`Self::key`] serialized, if
+    /// `key` is exactly such a string.
+    fn parse_key(key: &str) -> Option<(u64, StrategyId)> {
+        let (fingerprint, fragment) = key.split_once('/')?;
+        let fingerprint = u64::from_str_radix(fingerprint, 16).ok()?;
+        let id = if let Some(name) = fragment.strip_prefix("named:") {
+            StrategyId::Named(name.to_string())
+        } else if let Some(hash) = fragment.strip_prefix("order:") {
+            StrategyId::OrderHash(u64::from_str_radix(hash, 16).ok()?)
+        } else {
+            let (kind, dims) = fragment.strip_prefix("path:")?.split_once(':')?;
+            let snaked = match kind {
+                "snaked" => true,
+                "plain" => false,
+                _ => return None,
+            };
+            let dims = match dims {
+                "" => Vec::new(),
+                dims => dims
+                    .split(',')
+                    .map(|d| d.parse().ok())
+                    .collect::<Option<_>>()?,
+            };
+            StrategyId::Path { dims, snaked }
+        };
+        // Only the canonical spelling: "+1", "01" or upper-case hex would
+        // otherwise alias another entry's key.
+        (Self::key(fingerprint, &id) == key).then_some((fingerprint, id))
+    }
+
+    fn slot_of(&self, fingerprint: u64, id: &StrategyId) -> Option<usize> {
+        self.index.get(&fingerprint)?.get(id).copied()
     }
 
     /// The signature table for `(schema, id)`, computed only on a cache
@@ -925,10 +965,32 @@ impl SignatureCache {
         id: &StrategyId,
         lin: impl FnOnce() -> L,
     ) -> &WholeLatticeCosts {
-        let key = Self::key(schema, id);
+        self.get_or_compute_fingerprinted(schema, schema.fingerprint(), id, lin)
+    }
+
+    /// As [`SignatureCache::get_or_compute_with`], for a caller that
+    /// already holds `schema.fingerprint()` (a server keys its own
+    /// per-request state on it too).
+    ///
+    /// # Panics
+    ///
+    /// As [`SignatureCache::get_or_compute`]. Debug builds also check that
+    /// `fingerprint` is `schema`'s.
+    pub fn get_or_compute_fingerprinted<L: Linearization + Sync>(
+        &mut self,
+        schema: &StarSchema,
+        fingerprint: u64,
+        id: &StrategyId,
+        lin: impl FnOnce() -> L,
+    ) -> &WholeLatticeCosts {
+        debug_assert_eq!(
+            fingerprint,
+            schema.fingerprint(),
+            "fingerprint of another schema"
+        );
         self.clock += 1;
         let tick = self.clock;
-        if let Some(&slot) = self.index.get(&key) {
+        if let Some(slot) = self.slot_of(fingerprint, id) {
             self.hits += 1;
             metrics::record_cache_hit();
             let cached = self.slots[slot].as_mut().expect("indexed slots are full");
@@ -938,7 +1000,7 @@ impl SignatureCache {
         self.misses += 1;
         metrics::record_cache_miss();
         let table = Self::compute(schema, id, self.options, lin);
-        self.insert(key, table, tick)
+        self.insert(fingerprint, id.clone(), table, tick)
     }
 
     /// A miss: the closed form for a lattice path of `schema`, else a
@@ -960,19 +1022,29 @@ impl SignatureCache {
 
     /// Inserts a table stamped `tick`, first evicting least-recently-used
     /// entries until it fits the budget (or nothing else is left).
-    fn insert(&mut self, key: String, table: WholeLatticeCosts, tick: u64) -> &WholeLatticeCosts {
-        let bytes = entry_bytes(&key, &table);
+    fn insert(
+        &mut self,
+        fingerprint: u64,
+        id: StrategyId,
+        table: WholeLatticeCosts,
+        tick: u64,
+    ) -> &WholeLatticeCosts {
+        let bytes = entry_bytes(Self::key(fingerprint, &id).len(), &table);
         while self.bytes + bytes > SIGNATURE_CACHE_BUDGET_BYTES && self.evict_lru() {}
         self.bytes += bytes;
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(None);
             self.slots.len() - 1
         });
-        self.index.insert(key.clone(), slot);
+        self.index
+            .entry(fingerprint)
+            .or_default()
+            .insert(id.clone(), slot);
         self.recency.push(Reverse((tick, slot)));
         &self.slots[slot]
             .insert(CachedTable {
-                key,
+                fingerprint,
+                id,
                 table,
                 last_used: tick,
                 bytes,
@@ -993,7 +1065,12 @@ impl SignatureCache {
                 continue;
             }
             let evicted = self.slots[slot].take().expect("recency tracks full slots");
-            self.index.remove(&evicted.key);
+            if let Entry::Occupied(mut ids) = self.index.entry(evicted.fingerprint) {
+                ids.get_mut().remove(&evicted.id);
+                if ids.get().is_empty() {
+                    ids.remove();
+                }
+            }
             self.free.push(slot);
             self.bytes -= evicted.bytes;
             return true;
@@ -1004,7 +1081,7 @@ impl SignatureCache {
     /// The cached table for `(schema, id)`, if present. A peek: it counts
     /// neither a hit nor a use.
     pub fn get(&self, schema: &StarSchema, id: &StrategyId) -> Option<&WholeLatticeCosts> {
-        let slot = *self.index.get(&Self::key(schema, id))?;
+        let slot = self.slot_of(schema.fingerprint(), id)?;
         self.slots[slot].as_ref().map(|c| &c.table)
     }
 
@@ -1020,12 +1097,12 @@ impl SignatureCache {
 
     /// Number of cached tables.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.slots.len() - self.free.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 
     /// Serializes every cached table to JSON (entries sorted by key, so
@@ -1036,7 +1113,7 @@ impl SignatureCache {
             .iter()
             .flatten()
             .map(|cached| SignatureEntry {
-                key: cached.key.clone(),
+                key: Self::key(cached.fingerprint, &cached.id),
                 table: cached.table.clone(),
             })
             .collect();
@@ -1050,14 +1127,24 @@ impl SignatureCache {
     ///
     /// # Errors
     ///
-    /// Returns the underlying `serde_json` error on malformed input.
+    /// Returns the underlying `serde_json` error on malformed input,
+    /// including a key that [`Self::to_json`] would not have written or
+    /// one given twice.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         let entries: Vec<SignatureEntry> = serde_json::from_str(json)?;
         let mut cache = Self::default();
         for entry in entries {
+            let (fingerprint, id) = Self::parse_key(&entry.key)
+                .filter(|(fingerprint, id)| cache.slot_of(*fingerprint, id).is_none())
+                .ok_or_else(|| {
+                    serde_json::Error::custom(format!(
+                        "malformed or repeated cache key `{}`",
+                        entry.key
+                    ))
+                })?;
             cache.clock += 1;
             let tick = cache.clock;
-            cache.insert(entry.key, entry.table, tick);
+            cache.insert(fingerprint, id, entry.table, tick);
         }
         Ok(cache)
     }
@@ -1601,5 +1688,86 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (hits, misses + 1));
         cache.get_or_compute(&schema, &lin, &n0);
         assert_eq!((cache.hits(), cache.misses()), (hits + 1, misses + 1));
+    }
+
+    #[test]
+    fn serialized_keys_are_unchanged_and_round_trip() {
+        let schema = StarSchema::paper_toy();
+        let path =
+            LatticePath::from_dims(LatticeShape::of_schema(&schema), vec![0, 1, 0, 1]).unwrap();
+        let (plain, snaked) = (
+            path_curve(&schema, &path),
+            snaked_path_curve(&schema, &path),
+        );
+        let other = StarSchema::new(vec![
+            Hierarchy::new("a", vec![3, 2]).unwrap(),
+            Hierarchy::new("b", vec![5]).unwrap(),
+        ])
+        .unwrap();
+        let other_path =
+            LatticePath::from_dims(LatticeShape::of_schema(&other), vec![1, 0, 0]).unwrap();
+        let path_id = |dims: &[usize], snaked| StrategyId::Path {
+            dims: dims.to_vec(),
+            snaked,
+        };
+        let ids = [
+            path_id(&[0, 1, 0, 1], false),
+            path_id(&[0, 1, 0, 1], true),
+            StrategyId::Named("row/major: v2".into()),
+            StrategyId::of_order(&snaked),
+        ];
+        let mut cache = SignatureCache::new();
+        cache.get_or_compute(&schema, &plain, &ids[0]);
+        cache.get_or_compute(&schema, &snaked, &ids[1]);
+        cache.get_or_compute(&schema, &plain, &ids[2]);
+        cache.get_or_compute(&schema, &snaked, &ids[3]);
+        let other_id = path_id(&[1, 0, 0], false);
+        cache.get_or_compute(&other, &path_curve(&other, &other_path), &other_id);
+        let json = cache.to_json();
+        // The strings the format has always had, when keys were strings.
+        let doc: serde_json::Value = serde_json::from_str(&json).unwrap();
+        let keys: Vec<&str> = doc
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|e| e["key"].as_str().unwrap())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "4dadbac86a299687/named:row/major: v2",
+                "4dadbac86a299687/order:5a22adf7d82c80a5",
+                "4dadbac86a299687/path:plain:0,1,0,1",
+                "4dadbac86a299687/path:snaked:0,1,0,1",
+                "617a6b05e40da480/path:plain:1,0,0",
+            ]
+        );
+        assert_eq!(json.len(), 960);
+        // The budget holds as many toy tables as when keys were strings.
+        assert_eq!(cache_filled_to_the_budget().1, 2189);
+        // Restored entries are found by their typed keys, and re-serialize
+        // to the same bytes.
+        let mut restored = SignatureCache::from_json(&json).unwrap();
+        assert_eq!(restored.to_json(), json);
+        assert_eq!(restored.len(), 5);
+        assert_eq!(restored.bytes, cache.bytes);
+        for id in &ids {
+            restored.get_or_compute_with(&schema, id, || -> NestedLoops { unreachable!() });
+        }
+        restored.get_or_compute_with(&other, &other_id, || -> NestedLoops { unreachable!() });
+        assert_eq!((restored.hits(), restored.misses()), (5, 0));
+        // Keys the format never writes are refused, not aliased.
+        let entry = |key: &str| json.replacen("4dadbac86a299687/named:row/major: v2", key, 1);
+        for bad in [
+            "4dadbac86a299687/path:plain:0,1,0,01",
+            "4DADBAC86A299687/path:plain:0,1,0,1",
+            "+dadbac86a299687/named:x",
+            "4dadbac86a299687/path:odd:0,1",
+            "4dadbac86a299687/order:5A22ADF7D82C80A5",
+            "4dadbac86a299687/path:snaked:0,1,0,1",
+            "no-slash",
+        ] {
+            assert!(SignatureCache::from_json(&entry(bad)).is_err(), "{bad}");
+        }
     }
 }

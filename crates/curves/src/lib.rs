@@ -48,7 +48,7 @@ pub use peano::PeanoCurve;
 pub use search::{
     multistart_two_opt, two_opt_search, EdgeWeights, ExplicitStrategy, MultistartResult,
 };
-pub use zorder::ZOrderCurve;
+pub use zorder::{ZOrderCurve, ZOrderError};
 
 /// A struct-of-arrays coordinate buffer for [`Linearization::coords_block`]:
 /// one contiguous column of `capacity` slots per dimension, so a decoded

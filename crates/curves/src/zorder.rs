@@ -3,6 +3,40 @@
 
 use crate::nested::{Loop, NestedLoops};
 use crate::{CoordsBlock, Linearization};
+use std::fmt;
+
+/// Why a Z-order curve cannot be built over a requested grid.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ZOrderError {
+    /// The grid has no dimensions.
+    NoDimensions,
+    /// An extent is not a power of two (zero included).
+    NotPowerOfTwo {
+        /// The offending extent.
+        extent: u64,
+    },
+    /// The grid has more than `2^63` cells, beyond a `u64` rank.
+    TooLarge {
+        /// Total bits of the Morton code.
+        bits: u32,
+    },
+}
+
+impl fmt::Display for ZOrderError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ZOrderError::NoDimensions => write!(f, "need at least one dimension"),
+            ZOrderError::NotPowerOfTwo { extent } => {
+                write!(f, "extent {extent} is not a power of two")
+            }
+            ZOrderError::TooLarge { bits } => {
+                write!(f, "grid too large: {bits} Morton bits exceed 63")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ZOrderError {}
 
 /// Morton / Z-order over a grid whose extents are powers of two (dimensions
 /// may have different sizes; bits are interleaved round-robin starting from
@@ -23,18 +57,36 @@ impl ZOrderCurve {
     ///
     /// # Panics
     ///
-    /// Panics if any extent is not a power of two, or the total bit count
-    /// exceeds 63.
+    /// Panics where [`ZOrderCurve::try_new`] returns an error.
     pub fn new(extents: Vec<u64>) -> Self {
-        assert!(!extents.is_empty(), "need at least one dimension");
-        let bits: Vec<u32> = extents
+        Self::try_new(extents).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds a Z-order curve, or says why the grid has none.
+    ///
+    /// # Errors
+    ///
+    /// [`ZOrderError::NoDimensions`] if `extents` is empty,
+    /// [`ZOrderError::NotPowerOfTwo`] if an extent is not a power of two,
+    /// and [`ZOrderError::TooLarge`] if the grid exceeds `2^63` cells.
+    pub fn try_new(extents: Vec<u64>) -> Result<Self, ZOrderError> {
+        if extents.is_empty() {
+            return Err(ZOrderError::NoDimensions);
+        }
+        let bits = extents
             .iter()
-            .map(|&e| {
-                assert!(e.is_power_of_two(), "extent {e} is not a power of two");
-                e.trailing_zeros()
+            .map(|&extent| {
+                if extent.is_power_of_two() {
+                    Ok(extent.trailing_zeros())
+                } else {
+                    Err(ZOrderError::NotPowerOfTwo { extent })
+                }
             })
-            .collect();
-        assert!(bits.iter().sum::<u32>() <= 63, "grid too large");
+            .collect::<Result<Vec<u32>, _>>()?;
+        let total: u32 = bits.iter().sum();
+        if total > 63 {
+            return Err(ZOrderError::TooLarge { bits: total });
+        }
         let max_bits = bits.iter().copied().max().unwrap_or(0);
         let mut loops = Vec::new();
         for level in 0..max_bits {
@@ -45,11 +97,11 @@ impl ZOrderCurve {
             }
         }
         let nest = NestedLoops::new(extents.clone(), loops, false);
-        Self {
+        Ok(Self {
             extents,
             bits,
             nest,
-        }
+        })
     }
 
     /// A square 2-D curve of side `2^n` — the paper's toy setting.
@@ -199,6 +251,35 @@ mod tests {
     #[should_panic(expected = "not a power of two")]
     fn rejects_non_power_extent() {
         ZOrderCurve::new(vec![3, 4]);
+    }
+
+    #[test]
+    fn try_new_names_what_is_wrong_with_the_grid() {
+        assert_eq!(ZOrderCurve::try_new(vec![]), Err(ZOrderError::NoDimensions));
+        for extent in [0, 3, 12] {
+            assert_eq!(
+                ZOrderCurve::try_new(vec![4, extent]),
+                Err(ZOrderError::NotPowerOfTwo { extent })
+            );
+        }
+        assert_eq!(
+            ZOrderCurve::try_new(vec![1 << 32, 1 << 32]),
+            Err(ZOrderError::TooLarge { bits: 64 })
+        );
+        // 2^63 cells is the largest grid a u64 rank addresses.
+        assert!(ZOrderCurve::try_new(vec![1 << 31, 1 << 32]).is_ok());
+        assert_eq!(
+            ZOrderCurve::try_new(vec![8, 2]),
+            Ok(ZOrderCurve::new(vec![8, 2]))
+        );
+        let message = ZOrderError::TooLarge { bits: 64 }.to_string();
+        assert!(message.starts_with("grid too large"), "{message}");
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one dimension")]
+    fn new_panics_on_an_empty_grid() {
+        ZOrderCurve::new(vec![]);
     }
 
     /// The private radix-2 loop nest is the same bijection as the

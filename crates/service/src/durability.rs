@@ -499,6 +499,60 @@ mod tests {
         assert!(decode_checkpoint(blob).is_err());
     }
 
+    /// `json` with a field nested `depth` arrays deep spliced in first.
+    fn nested_past_the_limit(json: &str, depth: usize) -> String {
+        let rest = json.strip_prefix('{').expect("an object");
+        format!(
+            "{{\"pad\":{}{},{rest}",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn documents_nested_past_the_depth_limit_are_refused_not_overflowed() {
+        // Far deeper than a 2 MiB thread stack allows a recursive
+        // decoder to go; the decoder refuses at 128 levels instead.
+        let depth = 100_000;
+        let ckpt = Checkpoint {
+            next_lsn: 3,
+            sessions: vec![snap("etl", 1, 0.5)],
+            ..Checkpoint::default()
+        };
+        let json = serde_json::to_string(&ckpt).unwrap();
+        let file = PageFile::new(Cursor::new(Vec::new()), CHECKPOINT_PAGE_SIZE).unwrap();
+        let mut pool = BufferPool::new(file, CHECKPOINT_POOL_PAGES);
+        write_blob(&mut pool, nested_past_the_limit(&json, depth).as_bytes()).unwrap();
+        let blob = pool.into_backend().unwrap().into_inner();
+        let err = decode_checkpoint(blob).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("nesting deeper than 128 levels"),
+            "{err}"
+        );
+
+        let store = Arc::new(CrashStore::new());
+        {
+            let (d, _) = Durability::open(Media::Store(Arc::clone(&store))).unwrap();
+            let entry = LogEntry {
+                drift: Some(snap("etl", 2, 0.25)),
+                idempotency: None,
+                recluster: None,
+            };
+            let json = serde_json::to_string(&entry).unwrap();
+            let mut wal = d.wal.lock();
+            wal.append(nested_past_the_limit(&json, depth).as_bytes())
+                .unwrap();
+            wal.sync().unwrap();
+        }
+        let err = Durability::open(Media::Store(store)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("log decode: nesting deeper"),
+            "{err}"
+        );
+    }
+
     #[test]
     fn open_on_empty_media_recovers_nothing() {
         let store = Arc::new(CrashStore::new());

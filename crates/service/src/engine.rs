@@ -685,8 +685,9 @@ impl Engine {
         let cells = bounded_cells(&schema)?;
         let (lazy, id, label) = resolve_strategy(&schema, &strategy)?;
         deadline.check()?;
+        let fingerprint = schema.fingerprint();
         let key = PriceKey {
-            schema: schema.fingerprint(),
+            schema: fingerprint,
             strategy: id.clone(),
             probs: workload.probs().iter().map(|p| p.to_bits()).collect(),
         };
@@ -705,7 +706,10 @@ impl Engine {
                     let hits_before = cache.hits();
                     // The curve is built only on a `hilbert` miss: hits and
                     // lattice-path misses (closed form) never walk the grid.
-                    let table = cache.get_or_compute_with(&schema, &id, || lazy.build(&schema));
+                    let table =
+                        cache.get_or_compute_fingerprinted(&schema, fingerprint, &id, || {
+                            lazy.build(&schema)
+                        });
                     (table.expected_cost(&workload), cache.hits() > hits_before)
                 };
                 scope.prices.insert(
