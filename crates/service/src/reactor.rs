@@ -21,7 +21,7 @@
 use std::collections::BTreeSet;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::os::fd::AsRawFd;
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -164,12 +164,16 @@ mod ffi {
 /// channel registered under [`WAKE_TOKEN`].
 pub struct EpollReactor {
     epfd: i32,
-    wake_fd: i32,
+    /// Shared with every [`Waker`] this reactor hands out, and closed
+    /// only when the last of them is gone: a waker fired after its shard
+    /// exited (a peer's forward, a second `shutdown`) must not write into
+    /// whatever file the kernel has since given the fd number to.
+    wake_fd: Arc<OwnedFd>,
     events: Vec<ffi::epoll_event>,
 }
 
 // SAFETY: the reactor is owned and polled by a single shard thread; the
-// raw fds it holds are plain integers.
+// raw epoll fd it holds is a plain integer.
 unsafe impl Send for EpollReactor {}
 
 fn last_os_error() -> io::Error {
@@ -184,24 +188,23 @@ impl EpollReactor {
         if epfd < 0 {
             return Err(last_os_error());
         }
-        let wake_fd = unsafe { ffi::eventfd(0, ffi::EFD_CLOEXEC | ffi::EFD_NONBLOCK) };
-        if wake_fd < 0 {
+        let raw_wake = unsafe { ffi::eventfd(0, ffi::EFD_CLOEXEC | ffi::EFD_NONBLOCK) };
+        if raw_wake < 0 {
             let err = last_os_error();
             unsafe { ffi::close(epfd) };
             return Err(err);
         }
+        // SAFETY: a fresh fd that nothing else owns.
+        let wake_fd = Arc::new(unsafe { OwnedFd::from_raw_fd(raw_wake) });
         let mut ev = ffi::epoll_event {
             events: ffi::EPOLLIN,
             data: WAKE_TOKEN as u64,
         };
         // SAFETY: epfd and wake_fd are live fds we just created; `ev` is a
         // valid epoll_event for the duration of the call.
-        if unsafe { ffi::epoll_ctl(epfd, ffi::EPOLL_CTL_ADD, wake_fd, &mut ev) } < 0 {
+        if unsafe { ffi::epoll_ctl(epfd, ffi::EPOLL_CTL_ADD, raw_wake, &mut ev) } < 0 {
             let err = last_os_error();
-            unsafe {
-                ffi::close(wake_fd);
-                ffi::close(epfd);
-            }
+            unsafe { ffi::close(epfd) };
             return Err(err);
         }
         Ok(Self {
@@ -237,9 +240,9 @@ impl EpollReactor {
 
 impl Drop for EpollReactor {
     fn drop(&mut self) {
-        // SAFETY: closing fds this reactor owns.
+        // SAFETY: closing the epoll fd this reactor owns; the wake fd
+        // closes with its last owner.
         unsafe {
-            ffi::close(self.wake_fd);
             ffi::close(self.epfd);
         }
     }
@@ -297,7 +300,7 @@ impl Reactor for EpollReactor {
                 let mut buf = [0u8; 8];
                 // SAFETY: reading our own nonblocking eventfd into a
                 // stack buffer of the required 8 bytes.
-                unsafe { ffi::read(self.wake_fd, buf.as_mut_ptr(), buf.len()) };
+                unsafe { ffi::read(self.wake_fd.as_raw_fd(), buf.as_mut_ptr(), buf.len()) };
             } else if !ready.contains(&token) {
                 ready.push(token);
             }
@@ -306,12 +309,13 @@ impl Reactor for EpollReactor {
     }
 
     fn waker(&self) -> Waker {
-        let fd = self.wake_fd;
+        let fd = Arc::clone(&self.wake_fd);
         Waker(Arc::new(move || {
             let one = 1u64.to_ne_bytes();
-            // SAFETY: writing 8 bytes to a live eventfd; EAGAIN (counter
-            // saturated) still leaves the fd readable, so errors are moot.
-            unsafe { ffi::write(fd, one.as_ptr(), one.len()) };
+            // SAFETY: writing 8 bytes to an eventfd this closure keeps
+            // open; EAGAIN (counter saturated) still leaves the fd
+            // readable, so errors are moot.
+            unsafe { ffi::write(fd.as_raw_fd(), one.as_ptr(), one.len()) };
         }))
     }
 }
@@ -462,6 +466,29 @@ mod tests {
         assert_eq!(ready, vec![7]);
         assert_eq!(stream.read_nb(&mut buf).unwrap(), 0);
         reactor.deregister(7, &stream).unwrap();
+    }
+
+    #[test]
+    fn a_waker_that_outlives_its_reactor_writes_into_no_other_file() {
+        let reactor = EpollReactor::new().unwrap();
+        let waker = reactor.waker();
+        drop(reactor);
+        // Fresh sockets take the lowest free fd numbers, which include
+        // the dropped reactor's epoll fd.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        waker.wake();
+        waker.wake();
+        for mut end in [&client, &server] {
+            end.set_nonblocking(true).unwrap();
+            let mut buf = [0u8; 16];
+            let got = end.read(&mut buf);
+            assert!(
+                matches!(&got, Err(e) if e.kind() == io::ErrorKind::WouldBlock),
+                "a stale wake wrote into a live socket: {got:?}"
+            );
+        }
     }
 
     #[test]
