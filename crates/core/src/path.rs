@@ -218,15 +218,24 @@ impl LatticePath {
 
     /// Renders the path as `⟨(0,0),(0,1),...⟩` like the paper's Example 2.
     pub fn display_points(&self) -> String {
-        let pts = self.points();
-        let inner: Vec<String> = pts.iter().map(|p| p.to_string()).collect();
-        format!("⟨{}⟩", inner.join(","))
+        self.to_string()
     }
 }
 
+/// Writes the points straight into the formatter, carrying the current
+/// point in one counter buffer as [`LatticePath::points`] does: linear in
+/// the path's length.
 impl std::fmt::Display for LatticePath {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.display_points())
+        let mut cur = self.shape.bottom();
+        f.write_str("⟨")?;
+        cur.fmt(f)?;
+        for &d in &self.dims {
+            cur.0[d] += 1;
+            f.write_str(",")?;
+            cur.fmt(f)?;
+        }
+        f.write_str("⟩")
     }
 }
 

@@ -572,13 +572,18 @@ fn prefix_sum_in_place(counts: &mut [u64], shape: &LatticeShape, strides: &[usiz
 /// matching `LatticeShape::rank`, so each dimension extends the table by
 /// repeating it once per level. Products are exact `u64`s associated in
 /// dimension order, the same values the reference's per-rank product
-/// yields.
+/// yields. A dimension's table is one suffix product over its fanouts,
+/// linear in its levels (`nodes_at_level` per level would be quadratic).
 fn query_counts(schema: &StarSchema, shape: &LatticeShape) -> Vec<u64> {
     let mut queries = vec![1u64];
     for d in 0..schema.k() {
-        let levels: Vec<u64> = (0..=shape.top_level(d))
-            .map(|level| schema.dim(d).nodes_at_level(level))
-            .collect();
+        let fanouts = schema.dim(d).fanouts();
+        debug_assert_eq!(fanouts.len(), shape.top_level(d));
+        // levels[l] = Π_{i>=l} fanouts[i] = nodes at level l.
+        let mut levels = vec![1u64; fanouts.len() + 1];
+        for l in (0..fanouts.len()).rev() {
+            levels[l] = levels[l + 1] * fanouts[l];
+        }
         let mut next = Vec::with_capacity(queries.len() * levels.len());
         for &nodes in &levels {
             next.extend(queries.iter().map(|&q| q * nodes));

@@ -615,7 +615,11 @@ impl Engine {
         }
     }
 
-    fn parse_inputs(&self, req: &Request) -> Result<(StarSchema, Workload), ServiceError> {
+    /// The request's schema, its class lattice, and its workload over it.
+    fn parse_inputs(
+        &self,
+        req: &Request,
+    ) -> Result<(StarSchema, LatticeShape, Workload), ServiceError> {
         let schema = admit_schema(
             req.schema_spec()
                 .cloned()
@@ -627,7 +631,7 @@ impl Engine {
             .cloned()
             .ok_or_else(|| ServiceError::BadRequest("`workload` is required".into()))?
             .build(&shape)?;
-        Ok((schema, workload))
+        Ok((schema, shape, workload))
     }
 
     fn recommend(
@@ -636,7 +640,7 @@ impl Engine {
         deadline: &Deadline,
         scope: &mut BatchScope,
     ) -> Result<Response, ServiceError> {
-        let (schema, workload) = self.parse_inputs(req)?;
+        let (schema, _, workload) = self.parse_inputs(req)?;
         bounded_recommend(&schema)?;
         deadline.check()?;
         let key = RecommendKey {
@@ -677,18 +681,17 @@ impl Engine {
         deadline: &Deadline,
         scope: &mut BatchScope,
     ) -> Result<Response, ServiceError> {
-        let (schema, workload) = self.parse_inputs(req)?;
+        let (schema, shape, workload) = self.parse_inputs(req)?;
         let strategy = req
             .strategy_spec()
-            .cloned()
             .ok_or_else(|| ServiceError::BadRequest("`strategy` is required".into()))?;
         let cells = bounded_cells(&schema)?;
-        let (lazy, id, label) = resolve_strategy(&schema, &strategy)?;
+        let (lazy, id, label) = resolve_strategy(&schema, shape, strategy)?;
         deadline.check()?;
         let fingerprint = schema.fingerprint();
         let key = PriceKey {
             schema: fingerprint,
-            strategy: id.clone(),
+            strategy: id,
             probs: workload.probs().iter().map(|p| p.to_bits()).collect(),
         };
         let (expected_cost, cache_hit) = match scope.prices.get_mut(&key) {
@@ -706,10 +709,12 @@ impl Engine {
                     let hits_before = cache.hits();
                     // The curve is built only on a `hilbert` miss: hits and
                     // lattice-path misses (closed form) never walk the grid.
-                    let table =
-                        cache.get_or_compute_fingerprinted(&schema, fingerprint, &id, || {
-                            lazy.build(&schema)
-                        });
+                    let table = cache.get_or_compute_fingerprinted(
+                        &schema,
+                        fingerprint,
+                        &key.strategy,
+                        || lazy.build(&schema),
+                    );
                     (table.expected_cost(&workload), cache.hits() > hits_before)
                 };
                 scope.prices.insert(
@@ -798,7 +803,7 @@ impl Engine {
             match stripe.get(&name) {
                 Some(s) => Arc::clone(s),
                 None => {
-                    let (schema, workload) = self.parse_inputs(req).map_err(|e| {
+                    let (schema, _, workload) = self.parse_inputs(req).map_err(|e| {
                         ServiceError::BadRequest(format!(
                             "session `{name}` does not exist and cannot be created: {e}"
                         ))
@@ -958,7 +963,7 @@ impl Engine {
     }
 
     fn explain(&self, req: &Request, deadline: &Deadline) -> Result<Response, ServiceError> {
-        let (schema, workload) = self.parse_inputs(req)?;
+        let (schema, _, workload) = self.parse_inputs(req)?;
         let model = CostModel::of_schema(&schema);
         deadline.check()?;
         let path = match req.strategy_spec() {
@@ -1577,16 +1582,17 @@ fn bounded_recommend(schema: &StarSchema) -> Result<(), ServiceError> {
     }
 }
 
-/// Validates a strategy against `schema` without building its curve. A
-/// `hilbert` strategy is refused here if its padded cube needs more than
-/// 63 rank bits, so it never reaches a shard's curve build.
+/// Validates a strategy against `schema`, whose class lattice is `shape`,
+/// without building its curve. A `hilbert` strategy is refused here if its
+/// padded cube needs more than 63 rank bits, so it never reaches a shard's
+/// curve build.
 pub(crate) fn resolve_strategy(
     schema: &StarSchema,
+    shape: LatticeShape,
     spec: &StrategySpec,
 ) -> Result<(LazyCurve, StrategyId, String), ServiceError> {
     match (&spec.dims, spec.kind.as_deref()) {
         (Some(dims), None) => {
-            let shape = LatticeShape::of_schema(schema);
             let path = LatticePath::from_dims(shape, dims.clone())?;
             let label = if spec.snaked {
                 format!("{path} (snaked)")

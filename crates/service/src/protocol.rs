@@ -984,6 +984,12 @@ impl Response {
         serde_json::to_string(self).expect("responses serialize")
     }
 
+    /// Appends this response's protocol line, newline included, to `out`.
+    pub fn write_line(&self, out: &mut Vec<u8>) {
+        serde_json::to_writer(out, self).expect("a Vec takes any bytes");
+        out.push(b'\n');
+    }
+
     /// Parses one protocol line.
     ///
     /// # Errors

@@ -23,6 +23,7 @@ use crate::durability::ReclusterSnapshot;
 use crate::engine::{admit_schema, bounded_cells, resolve_strategy, WireCurve, MAX_PHYSICAL_BYTES};
 use crate::error::ServiceError;
 use crate::protocol::ReclusterBody;
+use snakes_core::lattice::LatticeShape;
 use snakes_curves::Linearization;
 use snakes_storage::{CellData, Migration, StorageConfig, TableFile};
 use std::collections::HashMap;
@@ -116,8 +117,9 @@ pub(crate) fn synthetic_record(record_size: u64, coords: &[u64], index: u64) -> 
 pub(crate) fn build_job(snap: ReclusterSnapshot) -> Result<ReclusterJob, ServiceError> {
     let schema = admit_schema(snap.schema.clone())?;
     let total_cells = bounded_cells(&schema)?;
-    let (from_lazy, _, from_label) = resolve_strategy(&schema, &snap.from)?;
-    let (to_lazy, _, to_label) = resolve_strategy(&schema, &snap.to)?;
+    let shape = LatticeShape::of_schema(&schema);
+    let (from_lazy, _, from_label) = resolve_strategy(&schema, shape.clone(), &snap.from)?;
+    let (to_lazy, _, to_label) = resolve_strategy(&schema, shape, &snap.to)?;
     let m = &snap.measure;
     if m.records_per_cell == 0 || m.page_size == 0 || m.record_size == 0 {
         return Err(ServiceError::BadRequest(

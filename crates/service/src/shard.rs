@@ -157,53 +157,58 @@ enum Frame {
 
 /// Splits as many complete frames as possible out of `conn.inbuf`,
 /// honoring [`MAX_LINE_BYTES`] with discard-through-newline semantics
-/// (mirrors the blocking core's `read_frame`).
+/// (mirrors the blocking core's `read_frame`). One scan over the new
+/// bytes: frames are copied out from an offset, and the consumed prefix
+/// is drained once at the end.
 fn take_frames(conn: &mut Conn) -> Vec<Frame> {
     let mut frames = Vec::new();
+    // Start of the first unconsumed byte; `conn.scanned` counts from here.
+    let mut start = 0;
     loop {
+        let pending = &conn.inbuf[start..];
         if conn.discarding {
-            match conn.inbuf.iter().position(|&b| b == b'\n') {
+            match pending.iter().position(|&b| b == b'\n') {
                 Some(i) => {
-                    conn.inbuf.drain(..=i);
+                    start += i + 1;
                     conn.scanned = 0;
                     conn.discarding = false;
                     frames.push(Frame::TooLong);
                 }
                 None => {
-                    conn.inbuf.clear();
+                    start = conn.inbuf.len();
                     conn.scanned = 0;
-                    return frames;
+                    break;
                 }
             }
         } else {
-            match conn.inbuf[conn.scanned..].iter().position(|&b| b == b'\n') {
+            match pending[conn.scanned..].iter().position(|&b| b == b'\n') {
                 Some(rel) => {
-                    let end = conn.scanned + rel;
-                    if end + 1 > MAX_LINE_BYTES {
-                        // The whole oversize line (newline included) was
-                        // already buffered: discard it in one step.
-                        conn.inbuf.drain(..=end);
-                        conn.scanned = 0;
-                        frames.push(Frame::TooLong);
-                        continue;
-                    }
-                    let line: Vec<u8> = conn.inbuf.drain(..=end).collect();
+                    let len = conn.scanned + rel + 1;
+                    // An oversize line whose newline is already buffered
+                    // is discarded in one step.
+                    frames.push(if len > MAX_LINE_BYTES {
+                        Frame::TooLong
+                    } else {
+                        Frame::Line(pending[..len].to_vec())
+                    });
+                    start += len;
                     conn.scanned = 0;
-                    frames.push(Frame::Line(line));
                 }
                 None => {
-                    conn.scanned = conn.inbuf.len();
+                    conn.scanned = pending.len();
                     if conn.scanned > MAX_LINE_BYTES {
-                        conn.inbuf.clear();
+                        start = conn.inbuf.len();
                         conn.scanned = 0;
                         conn.discarding = true;
                         continue;
                     }
-                    return frames;
+                    break;
                 }
             }
         }
     }
+    conn.inbuf.drain(..start);
+    frames
 }
 
 /// A shard's adoption inbox for freshly accepted connections. A plain
@@ -434,6 +439,7 @@ const DRAIN_GRACE: Duration = Duration::from_millis(50);
 impl Shard {
     fn run(&mut self) {
         let mut ready: Vec<usize> = Vec::new();
+        let mut dead: Vec<usize> = Vec::new();
         loop {
             self.publish_backlog();
             let timeout =
@@ -467,15 +473,9 @@ impl Shard {
             }
             self.migrating = stepped > 0;
             self.flush_outboxes();
-            let dead: Vec<usize> = self
-                .conns
-                .keys()
-                .copied()
-                .collect::<Vec<_>>()
-                .into_iter()
-                .filter(|&id| !self.flush_connection(id))
-                .collect();
-            for id in dead {
+            dead.extend(self.conns.keys());
+            dead.retain(|&id| !self.flush_connection(id));
+            for id in dead.drain(..) {
                 self.drop_connection(id);
             }
 
@@ -906,9 +906,7 @@ impl Shard {
                 unreachable!("front checked above");
             };
             conn.base_seq += 1;
-            let mut line = response.to_line();
-            line.push('\n');
-            conn.outbuf.extend_from_slice(line.as_bytes());
+            response.write_line(&mut conn.outbuf);
         }
         while !conn.outbuf.is_empty() {
             match conn.stream.write_nb(&conn.outbuf) {

@@ -2,8 +2,9 @@
 //! `from_str`, every valid escaped spelling decodes to the same string,
 //! and every lone or mismatched surrogate escape is an error, never a
 //! panic. Frames, WAL records and checkpoints all decode through this
-//! parser. CI also runs this file in release, where the case count is
-//! larger.
+//! parser. The printers write byte for byte what the reference printer
+//! they replaced wrote. CI also runs this file in release, where the case
+//! count is larger.
 
 use proptest::prelude::*;
 use serde_json::Value;
@@ -91,8 +92,173 @@ fn bad_surrogate(kind: u64, draw: u32) -> String {
     }
 }
 
+/// The printer `serde_json` used before it wrote straight into its
+/// output: a fresh `String` per number and one `push` per character.
+mod reference {
+    use serde_json::Value;
+
+    pub fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
+        match v {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::U64(n) => out.push_str(&n.to_string()),
+            Value::I64(n) => out.push_str(&n.to_string()),
+            Value::F64(x) => {
+                if x.is_finite() {
+                    out.push_str(&format!("{x:?}"));
+                } else {
+                    out.push_str("null");
+                }
+            }
+            Value::Str(s) => write_escaped(out, s),
+            Value::Seq(items) => {
+                if items.is_empty() {
+                    out.push_str("[]");
+                    return;
+                }
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline_indent(out, indent, depth + 1);
+                    write_value(out, item, indent, depth + 1);
+                }
+                newline_indent(out, indent, depth);
+                out.push(']');
+            }
+            Value::Map(entries) => {
+                if entries.is_empty() {
+                    out.push_str("{}");
+                    return;
+                }
+                out.push('{');
+                for (i, (k, item)) in entries.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline_indent(out, indent, depth + 1);
+                    write_escaped(out, k);
+                    out.push(':');
+                    if indent.is_some() {
+                        out.push(' ');
+                    }
+                    write_value(out, item, indent, depth + 1);
+                }
+                newline_indent(out, indent, depth);
+                out.push('}');
+            }
+        }
+    }
+
+    fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
+        if let Some(width) = indent {
+            out.push('\n');
+            out.extend(std::iter::repeat_n(' ', width * depth));
+        }
+    }
+
+    fn write_escaped(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0c}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+}
+
+/// An arbitrary document, drawn from `seed`: every kind of value, nested
+/// up to four levels, with strings from every character class.
+fn arbitrary_value(seed: u64) -> Value {
+    fn draw(state: &mut u64) -> u64 {
+        // SplitMix64.
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+    fn string(state: &mut u64) -> String {
+        let len = draw(state) % 12;
+        (0..len)
+            .map(|_| pick_char(draw(state) % 6, draw(state) as u32))
+            .collect()
+    }
+    fn value(state: &mut u64, depth: u32) -> Value {
+        let kinds = if depth == 4 { 6 } else { 8 };
+        match draw(state) % kinds {
+            0 => Value::Null,
+            1 => Value::Bool(draw(state) & 1 == 0),
+            2 => Value::U64(draw(state) >> (draw(state) % 64)),
+            3 => Value::I64((draw(state) as i64) >> (draw(state) % 64) | i64::MIN),
+            4 => Value::F64(match draw(state) % 4 {
+                0 => f64::from_bits(draw(state)),
+                1 => (draw(state) % 1000) as f64,
+                2 => f64::INFINITY,
+                _ => (draw(state) as f64) / 3.0,
+            }),
+            5 => Value::Str(string(state)),
+            6 => Value::Seq(
+                (0..draw(state) % 4)
+                    .map(|_| value(state, depth + 1))
+                    .collect(),
+            ),
+            _ => Value::Map(
+                (0..draw(state) % 4)
+                    .map(|_| (string(state), value(state, depth + 1)))
+                    .collect(),
+            ),
+        }
+    }
+    let mut state = seed;
+    value(&mut state, 0)
+}
+
+#[test]
+fn printers_match_the_reference_on_every_ascii_character() {
+    // Arbitrary strings reach each control character only rarely, so
+    // every ASCII character is also printed on its own and inside text.
+    for c in (0u8..0x80).map(char::from).chain(['é', '€', '😀']) {
+        for s in [c.to_string(), format!("ab{c}cd{c}")] {
+            let doc = Value::Map(vec![(s.clone(), Value::Str(s))]);
+            let mut expected = String::new();
+            reference::write_value(&mut expected, &doc, None, 0);
+            assert_eq!(serde_json::to_string(&doc).unwrap(), expected);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    #[test]
+    fn printers_match_the_reference_byte_for_byte(seed in any::<u64>()) {
+        let doc = arbitrary_value(seed);
+        for (indent, text) in [
+            (None, serde_json::to_string(&doc).unwrap()),
+            (Some(2), serde_json::to_string_pretty(&doc).unwrap()),
+        ] {
+            let mut expected = String::new();
+            reference::write_value(&mut expected, &doc, indent, 0);
+            prop_assert_eq!(text, expected);
+        }
+        // `to_writer` appends the compact form to what the buffer holds.
+        let mut buf = b"head ".to_vec();
+        serde_json::to_writer(&mut buf, &doc).unwrap();
+        prop_assert_eq!(buf, format!("head {}", serde_json::to_string(&doc).unwrap()).into_bytes());
+    }
 
     #[test]
     fn strings_round_trip_through_the_printers(s in arbitrary_string()) {

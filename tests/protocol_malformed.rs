@@ -365,6 +365,36 @@ fn recommend_is_bounded_at_admission() {
     server.join();
 }
 
+#[test]
+fn a_path_of_a_quarter_million_steps_is_priced_promptly() {
+    let server = Server::spawn(ServerConfig::default()).expect("spawn");
+    let mut conn = RawConn::open(server.local_addr());
+    // One dimension of 240 000 fanout-1 levels: 240 001 classes, one
+    // cell, and a strategy stepping it 240 000 times, in one ~1 MB frame.
+    // Its label names every point of the path.
+    let levels = 240_000;
+    let fanouts = vec!["1"; levels].join(",");
+    let dims = vec!["0"; levels].join(",");
+    let frame = lattice_frame(
+        34,
+        "price",
+        1,
+        &fanouts,
+        &format!(",\"strategy\":{{\"dims\":[{dims}]}}"),
+    );
+    assert!(frame.len() <= MAX_LINE_BYTES, "{} bytes", frame.len());
+    let started = std::time::Instant::now();
+    conn.send_raw(&frame);
+    let resp = conn.recv();
+    let elapsed = started.elapsed();
+    assert_eq!(resp["ok"].as_bool(), Some(true), "{:?}", resp["error"]);
+    let label = resp["price"]["strategy"].as_str().unwrap();
+    assert!(label.starts_with("⟨(0),(1),(2),") && label.ends_with(",(239999),(240000)⟩"));
+    assert!(elapsed.as_secs() < 10, "the long path took {elapsed:?}");
+    conn.assert_usable();
+    server.join();
+}
+
 /// A `ping` frame of exactly [`MAX_LINE_BYTES`] bytes (newline included)
 /// whose `note` string fills the line with plain ASCII, multi-byte
 /// characters and escapes; `last` closes the string's text.
